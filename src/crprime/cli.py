@@ -1,8 +1,8 @@
 """Command line driver: run verification suites, print series expansions.
 
-Reports are deterministic for a fixed config and seed: suites run
-concurrently but assembly is sorted by check id, and nothing wall-clock
-dependent enters the output (timings go to stderr, opt-in).  Exit codes:
+Reports are deterministic for a fixed config and seed: suites run one after
+another, assembly is sorted by check id, and nothing wall-clock dependent
+enters the output (timings go to stderr, opt-in).  Exit codes:
 0 all checks pass, 1 at least one failure, 2 usage or config error.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .gauss import G
 from .heisenberg import (
@@ -158,16 +157,10 @@ def run_command(args) -> int:
     names = ("moser", "heisenberg", "conformal", "sphere") if args.suite == "all" else (args.suite,)
     reports = []
     timings = {}
-    with ThreadPoolExecutor(max_workers=len(names)) as pool:
-        futures = {}
-        for name in names:
-            start = time.monotonic()
-            futures[name] = (pool.submit(_suite_reports, name, settings,
-                                         golden=args.golden, corrupt=args.corrupt), start)
-        for name in names:
-            fut, start = futures[name]
-            reports += fut.result()
-            timings[name] = time.monotonic() - start
+    for name in names:
+        start = time.monotonic()
+        reports += _suite_reports(name, settings, golden=args.golden, corrupt=args.corrupt)
+        timings[name] = time.monotonic() - start
     if args.timings:
         for name in names:
             print(f"{name}: {timings[name]:.2f}s", file=sys.stderr)
@@ -187,7 +180,7 @@ def run_command(args) -> int:
 
 def _series_terms(poly):
     rows = []
-    for (ez, ezb, eu, epi), c in sorted(poly.terms.items(),
+    for (ez, ezb, eu, epi), c in sorted(poly.coeffs(),
                                         key=lambda kv: (kv[0][0] + kv[0][1] + 2 * kv[0][2], kv[0])):
         row = {"coeff": repr(c), "z": ez, "zb": ezb, "u": eu}
         if epi:

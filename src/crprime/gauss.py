@@ -2,7 +2,8 @@
 
 Coefficients live in Q(i): real and imaginary parts are arbitrary-precision
 rationals (gmpy2.mpq when importable, fractions.Fraction otherwise). Equality
-is exact; nothing in this layer carries a floating tolerance.
+is exact; nothing in this layer carries a floating tolerance.  Polynomials
+keep their own integer numerators (poly.py); this type is their scalar edge.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is present in normal installs
+except ImportError:  # gmpy2 is optional and not a declared dependency
     _Q = Fraction
+
+_QTYPE = type(_Q(0))
 
 
 def rat(num, den=1):
@@ -26,8 +29,8 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is type(_Q(0)) else _Q(re))
-        object.__setattr__(self, "im", im if type(im) is type(_Q(0)) else _Q(im))
+        object.__setattr__(self, "re", re if type(re) is _QTYPE else _Q(re))
+        object.__setattr__(self, "im", im if type(im) is _QTYPE else _Q(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -38,7 +41,7 @@ class GaussRational:
     def _coerce(x):
         if isinstance(x, GaussRational):
             return x
-        if isinstance(x, (int, Fraction)) or type(x) is type(_Q(0)):
+        if isinstance(x, (int, Fraction)) or type(x) is _QTYPE:
             return GaussRational(x)
         return NotImplemented
 
@@ -178,4 +181,3 @@ def G(re, im=0):
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
-GR_HALF = GaussRational(_Q(1, 2))

@@ -226,7 +226,8 @@ def _quantity(ms: MoserStructure, key: str) -> GradedSeries:
     if key == "metric":
         return st.Z1.apply(st.g)
     if key == "torsion":
-        return st.A
+        # dtheta1 of the flat model has no theta ^ theta1b part, so A is the int 0
+        return st.A if isinstance(st.A, GradedSeries) else GradedSeries(P_ZERO, ms.order)
     if key == "curvature":
         return st.R
     if key == "pseudo_einstein":
@@ -600,7 +601,7 @@ def display_identity_reports(md: MoserData, order=None) -> list:
 
 
 def _restrict_axis(p: Poly) -> Poly:
-    return Poly({e: c for e, c in p.terms.items() if e[0] == 0 and e[1] == 0})
+    return Poly({e: c for e, c in p.coeffs() if e[0] == 0 and e[1] == 0})
 
 
 def chain_check(md: MoserData, order=None) -> VerificationReport:
@@ -628,7 +629,7 @@ def cartan_coefficient(md: MoserData) -> Poly:
     for var, n in (("z", 3), ("zb", 2)):
         for _ in range(n):
             e5 = e5.diff(var)
-    return Poly({(0, 0, e[2], 0): c for e, c in e5.terms.items() if e[0] == 1 and e[1] == 0 and e[3] == 0})
+    return Poly({(0, 0, e[2], 0): c for e, c in e5.coeffs() if e[0] == 1 and e[1] == 0 and e[3] == 0})
 
 
 def cartan_report(md: MoserData) -> VerificationReport:

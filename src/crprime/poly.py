@@ -4,35 +4,82 @@ The weight (anisotropic order) of a monomial is deg_z + deg_zb + 2*deg_u; the
 constant pi carries weight 0, is fixed by conjugation and killed by every
 derivative. It exists so that expressions like 1/(2*pi*rho^2) stay exact.
 
-Terms are stored sparsely as {(ez, ezb, eu, epi): GaussRational} with no zero
-coefficients. Polynomials are treated as immutable once built.
+A polynomial is a Gaussian-integer polynomial over one shared denominator, the
+layout of FLINT's fmpq_poly: `terms` maps exponents (ez, ezb, eu, epi) to
+numerators (re, im) of Python ints, never (0, 0), and `den` is a positive int.
+Every operation ends with one gcd pass, so gcd(den, every re, every im) = 1 and
+the zero polynomial has den == 1; equal polynomials thus have equal terms and
+den, which equality and hashing use.  GaussRational appears only at the edges:
+construction from scalar coefficients, coeffs(), const_term(), leading(),
+eval(), JSON and repr.  Polynomials are treated as immutable once built.
+
+Each operation inserts its terms in the order term-by-term arithmetic would:
+a term that cancels is dropped and re-inserted at the end if it comes back.
+Floating-point evaluation (sphere.py) sums in this order.
 """
 
 from __future__ import annotations
 
-from .gauss import GR_ONE, GR_ZERO, GaussRational
+from math import gcd
+
+from .gauss import GR_ONE, GR_ZERO, GaussRational, rat
 
 VARS = ("z", "zb", "u", "pi")
 _SLOT = {"z": 0, "zb": 1, "u": 2, "pi": 3}
-_WEIGHT = (1, 1, 2, 0)
 
 
 def wdeg(exps):
     return exps[0] + exps[1] + 2 * exps[2]
 
 
+def _split(c):
+    """(re, im, den): a scalar as a Gaussian-integer numerator over den > 0."""
+    if type(c) is int:
+        return c, 0, 1
+    if not isinstance(c, GaussRational):
+        c = GaussRational(c)
+    rd, id_ = int(c.re.denominator), int(c.im.denominator)
+    den = rd * id_ // gcd(rd, id_)
+    return int(c.re.numerator) * (den // rd), int(c.im.numerator) * (den // id_), den
+
+
+def _make(terms, den):
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "_hash", None)
+    return p
+
+
+def _reduced(terms, den):
+    """The Poly terms/den, after dividing out gcd(den, every numerator)."""
+    if den != 1:
+        g = den
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
+            den //= g
+    return _make(terms, den)
+
+
 class Poly:
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "den", "_hash")
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for exps, c in terms.items():
-                if not isinstance(c, GaussRational):
-                    c = GaussRational(c)
-                if not c.is_zero():
-                    t[exps] = c
+        """From {exps: GaussRational | int}; zero coefficients are dropped."""
+        split, den = {}, 1
+        for exps, c in (terms or {}).items():
+            re, im, d = _split(c)
+            if re or im:
+                split[exps] = (re, im, d)
+                den = den * d // gcd(den, d)
+        # den is the lcm of reduced denominators, so the result is in lowest terms
+        t = {e: (re * (den // d), im * (den // d)) for e, (re, im, d) in split.items()}
         object.__setattr__(self, "terms", t)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -42,15 +89,13 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        if not isinstance(c, GaussRational):
-            c = GaussRational(c)
         return cls({(0, 0, 0, 0): c})
 
     @classmethod
     def var(cls, name):
         e = [0, 0, 0, 0]
         e[_SLOT[name]] = 1
-        return cls({tuple(e): GR_ONE})
+        return _make({tuple(e): (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, coeff, ez=0, ezb=0, eu=0, epi=0):
@@ -65,18 +110,29 @@ class Poly:
             return Poly.const(other)
         return None
 
+    def _add(self, o, sign):
+        """self + sign * o, for sign = +1 or -1."""
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        t = dict(self.terms) if sa == 1 else {
+            e: (re * sa, im * sa) for e, (re, im) in self.terms.items()}
+        for e, (re, im) in o.terms.items():
+            re, im = re * sb, im * sb
+            old = t.get(e)
+            if old is not None:
+                re, im = old[0] + re, old[1] + im
+                if not (re or im):
+                    del t[e]
+                    continue
+            t[e] = (re, im)
+        return _reduced(t, da * sa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = dict(self.terms)
-        for exps, c in o.terms.items():
-            nc = t.get(exps, GR_ZERO) + c
-            if nc.is_zero():
-                t.pop(exps, None)
-            else:
-                t[exps] = nc
-        return Poly(t)
+        return self._add(o, 1)
 
     __radd__ = __add__
 
@@ -84,16 +140,16 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._add(self, -1)
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return _make({e: (-re, -im) for e, (re, im) in self.terms.items()}, self.den)
 
     def mul(self, other, order=None):
         """Product, optionally dropping monomials of weight >= order."""
@@ -103,18 +159,29 @@ class Poly:
         a, b = self.terms, o.terms
         if len(a) > len(b):
             a, b = b, a
+        inner = [(e[0], e[1], e[2], e[3], e[0] + e[1] + 2 * e[2], re, im)
+                 for e, (re, im) in b.items()]
+        if order is None:
+            order = self.max_wdeg() + o.max_wdeg() + 1
         t = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                if order is not None and wdeg(e) >= order:
+        get = t.get
+        for (z1, zb1, u1, p1), (r1, i1) in a.items():
+            room = order - (z1 + zb1 + 2 * u1)
+            for z2, zb2, u2, p2, w2, r2, i2 in inner:
+                if w2 >= room:
                     continue
-                nc = t.get(e, GR_ZERO) + c1 * c2
-                if nc.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = nc
-        return Poly(t)
+                e = (z1 + z2, zb1 + zb2, u1 + u2, p1 + p2)
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                old = get(e)
+                if old is not None:
+                    re += old[0]
+                    im += old[1]
+                    if not (re or im):
+                        del t[e]
+                        continue
+                t[e] = (re, im)
+        return _reduced(t, self.den * o.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -143,19 +210,18 @@ class Poly:
             raise ValueError("pi is a constant; no derivative in pi")
         s = _SLOT[var]
         t = {}
-        for e, c in self.terms.items():
+        for e, (re, im) in self.terms.items():
             k = e[s]
             if k == 0:
                 continue
             ne = list(e)
             ne[s] = k - 1
-            t[tuple(ne)] = c * k
-        return Poly(t)
+            t[tuple(ne)] = (re * k, im * k)
+        return _reduced(t, self.den)
 
     def conj(self):
-        return Poly(
-            {(e[1], e[0], e[2], e[3]): c.conj() for e, c in self.terms.items()}
-        )
+        return _make({(e[1], e[0], e[2], e[3]): (re, -im)
+                      for e, (re, im) in self.terms.items()}, self.den)
 
     # -- structure queries -------------------------------------------------
 
@@ -163,10 +229,21 @@ class Poly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or set(self.terms) == {(0, 0, 0, 0)}
+        return not self.terms or (len(self.terms) == 1 and (0, 0, 0, 0) in self.terms)
+
+    def _scalar(self, e):
+        """The coefficient of the monomial e as a GaussRational."""
+        num = self.terms.get(e)
+        if num is None:
+            return GR_ZERO
+        return GaussRational(rat(num[0], self.den), rat(num[1], self.den))
+
+    def coeffs(self):
+        """(exps, GaussRational) pairs in term order."""
+        return [(e, self._scalar(e)) for e in self.terms]
 
     def const_term(self):
-        return self.terms.get((0, 0, 0, 0), GR_ZERO)
+        return self._scalar((0, 0, 0, 0))
 
     def min_wdeg(self):
         """Weighted valuation; +inf for the zero polynomial."""
@@ -179,23 +256,26 @@ class Poly:
             return 0
         return max(wdeg(e) for e in self.terms)
 
+    def _select(self, keep):
+        t = {e: c for e, c in self.terms.items() if keep(wdeg(e))}
+        return self if len(t) == len(self.terms) else _reduced(t, self.den)
+
     def truncate(self, order):
         """Drop all monomials of weight >= order."""
-        return Poly({e: c for e, c in self.terms.items() if wdeg(e) < order})
+        return self._select(lambda w: w < order)
 
     def graded_part(self, k):
-        return Poly({e: c for e, c in self.terms.items() if wdeg(e) == k})
+        return self._select(lambda w: w == k)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.terms == o.terms
 
     def __hash__(self):
         if self._hash is None:
-            h = hash(tuple(sorted((e, c.as_quad()) for e, c in self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            object.__setattr__(self, "_hash", hash((self.den, frozenset(self.terms.items()))))
         return self._hash
 
     # -- evaluation and substitution ---------------------------------------
@@ -215,60 +295,94 @@ class Poly:
             return pc[k]
 
         out = GR_ZERO
-        for e, c in self.terms.items():
-            term = c
+        for e, (re, im) in self.terms.items():
+            term = GaussRational(re, im)
             for s in range(4):
                 if e[s]:
                     term = term * power(s, e[s])
             out = out + term
-        return out
+        return out if self.den == 1 else out / self.den
 
     def dilate(self, t):
         """Anisotropic dilation (z,zb,u) -> (tz, t zb, t^2 u) for rational t."""
-        if not isinstance(t, GaussRational):
-            t = GaussRational(t)
-        return Poly({e: c * _pow(t, wdeg(e)) for e, c in self.terms.items()})
+        tr, ti, td = _split(t)
+        top = self.max_wdeg()
+        # the term of weight w gains (tr + ti i)^w * td^(top - w) over td^top
+        scale = [(td ** top, 0)]
+        for _ in range(top):
+            r, i = scale[-1]
+            scale.append(((r * tr - i * ti) // td, (r * ti + i * tr) // td))
+        out = {}
+        for e, (re, im) in self.terms.items():
+            sr, si = scale[wdeg(e)]
+            out[e] = (re * sr - im * si, re * si + im * sr)
+        return _reduced(out, self.den * td ** top)
 
     # -- division -----------------------------------------------------------
 
     def leading(self):
         """Lex-leading (exps, coeff) over the slot order (z, zb, u, pi)."""
         e = max(self.terms)
-        return e, self.terms[e]
+        return e, self._scalar(e)
 
     def divide_exact(self, divisor):
-        """Exact quotient self/divisor, or None when not divisible."""
+        """Exact quotient self/divisor, or None when not divisible.
+
+        Long division of the numerators: the remainder is kept as Gaussian
+        integers over a running denominator d, multiplied by the part of
+        |lead|^2 that a step's quotient coefficient does not cancel.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return P_ZERO
-        de, dc = divisor.leading()
+        de = max(divisor.terms)
+        br, bi = divisor.terms[de]
+        norm = br * br + bi * bi
         rem = dict(self.terms)
-        out = {}
+        d = 1
+        steps = []  # (exps, numerator, denominator of the quotient coefficient)
         while rem:
             re_ = max(rem)
             ne = tuple(re_[k] - de[k] for k in range(4))
             if any(x < 0 for x in ne):
                 return None
-            qc = rem[re_] / dc
-            out[ne] = qc
-            for e2, c2 in divisor.terms.items():
-                e = tuple(ne[k] + e2[k] for k in range(4))
-                nc = rem.get(e, GR_ZERO) - qc * c2
-                if nc.is_zero():
-                    rem.pop(e, None)
+            # rem / d has leading coefficient r / d; divided by b it is r conj(b) / (norm d)
+            r, i = rem[re_]
+            qr, qi = r * br + i * bi, i * br - r * bi
+            g = gcd(norm, qr, qi)
+            qr, qi, s = qr // g, qi // g, norm // g
+            if s != 1:
+                rem = {e: (x * s, y * s) for e, (x, y) in rem.items()}
+                d *= s
+            steps.append((ne, qr, qi, d))
+            for e2, (x2, y2) in divisor.terms.items():
+                e = (ne[0] + e2[0], ne[1] + e2[1], ne[2] + e2[2], ne[3] + e2[3])
+                x, y = qr * x2 - qi * y2, qr * y2 + qi * x2
+                old = rem.get(e)
+                if old is None:
+                    rem[e] = (-x, -y)
+                elif old == (x, y):
+                    del rem[e]
                 else:
-                    rem[e] = nc
-        return Poly(out)
+                    rem[e] = (old[0] - x, old[1] - y)
+        # numerator quotient Q / d; self / divisor = Q * divisor.den / (d * self.den)
+        out = {}
+        for ne, qr, qi, dk in steps:
+            k = d // dk * divisor.den
+            out[ne] = (qr * k, qi * k)
+        return _reduced(out, d * self.den)
 
     def monic(self):
         """(self/lc, lc) with lc the lex-leading coefficient."""
         if self.is_zero():
             return self, GR_ONE
-        _, lc = self.leading()
-        if lc == GR_ONE:
+        e = max(self.terms)
+        lr, li = self.terms[e]
+        if li == 0 and lr == self.den:
             return self, GR_ONE
-        return Poly({e: c / lc for e, c in self.terms.items()}), lc
+        t = {x: (re * lr + im * li, im * lr - re * li) for x, (re, im) in self.terms.items()}
+        return _reduced(t, lr * lr + li * li), self._scalar(e)
 
     # -- serialization and display -------------------------------------------
 
@@ -278,7 +392,7 @@ class Poly:
         for e in sorted(self.terms):
             if e[3]:
                 raise ValueError("pi-dependent polynomial has no 3-slot form")
-            out.append([[e[0], e[1], e[2]], list(self.terms[e].as_quad())])
+            out.append([[e[0], e[1], e[2]], list(self._scalar(e).as_quad())])
         return out
 
     @classmethod
@@ -294,7 +408,7 @@ class Poly:
             return "0"
         parts = []
         for e in sorted(self.terms, key=lambda x: (wdeg(x), x)):
-            c = self.terms[e]
+            c = self._scalar(e)
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(VARS, e)
@@ -302,24 +416,6 @@ class Poly:
             )
             parts.append(f"{c!r}*{mono}" if mono else repr(c))
         return " + ".join(parts)
-
-
-def _pow(t, n):
-    out = GR_ONE
-    for _ in range(n):
-        out = out * t
-    return out
-
-
-def poly_arith(a, b, op):
-    """Dispatcher kept for the module contract: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 P_ZERO = Poly()

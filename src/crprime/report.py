@@ -95,11 +95,20 @@ def has_failure(reports) -> bool:
     return any(r.status == "fail" for r in reports)
 
 
+def _sorted_unique(reports) -> list:
+    """Reports sorted by check id; a repeated id is an error, not a second check."""
+    out = sorted(reports, key=lambda r: r.check_id)
+    for a, b in zip(out, out[1:]):
+        if a.check_id == b.check_id:
+            raise ValueError(f"duplicate check id {a.check_id!r}")
+    return out
+
+
 def reports_to_json(reports, meta=None) -> str:
     doc = {
         "schema": SCHEMA,
         "meta": dict(sorted((meta or {}).items())),
-        "checks": [r.to_dict() for r in sorted(reports, key=lambda r: r.check_id)],
+        "checks": [r.to_dict() for r in _sorted_unique(reports)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -115,7 +124,7 @@ def reports_to_text(reports, meta=None) -> str:
     lines = []
     for key, val in sorted((meta or {}).items()):
         lines.append(f"# {key} = {val}")
-    for r in sorted(reports, key=lambda r: r.check_id):
+    for r in _sorted_unique(reports):
         lines.append(f"[{r.status.upper():8s}] {r.check_id}: residual={r.residual} ({r.provenance}; {r.anchor})")
         if r.detail:
             lines.append(f"           {r.detail}")

@@ -257,7 +257,7 @@ class ChartIntegrand:
 
 
 def _poly_terms(p: Poly):
-    return [(complex(c.re, c.im), e[0], e[1], e[2], e[3]) for e, c in p.terms.items()]
+    return [(complex(c.re, c.im), e[0], e[1], e[2], e[3]) for e, c in p.coeffs()]
 
 
 def _poly_eval_grid(terms, z, zb, u, pi_value):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from crprime import heisenberg
 from crprime.cli import main
-from crprime.report import reports_from_json, reports_to_json
+from crprime.report import recorded, reports_from_json, reports_to_json, reports_to_text
 
 FAST_GRID = "48x24x32"
 
@@ -56,6 +57,36 @@ def test_report_json_roundtrips(capsys):
                         "--grid", FAST_GRID)
     meta, reports = reports_from_json(out)
     assert reports_to_json(reports, meta) == out
+
+
+def test_repeated_check_id_is_rejected():
+    rep = recorded("demo.check", "0", "trivial", "anchor")
+    other = recorded("demo.other", "0", "trivial", "anchor")
+    for emit in (reports_to_json, reports_to_text):
+        emit([rep, other])
+        with pytest.raises(ValueError, match="demo.check"):
+            emit([rep, other, rep])
+
+
+def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(capsys, monkeypatch):
+    built = []
+
+    class CountingFlatModel(heisenberg.FlatModel):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(heisenberg, "FlatModel", CountingFlatModel)
+    monkeypatch.setattr(heisenberg, "_CACHE", {})
+    code, out, err = run_cli(capsys, "run", "all", "--format", "json",
+                             "--grid", FAST_GRID, "--timings")
+    assert code == 0
+    assert len(built) == 1
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "moser", "heisenberg", "conformal", "sphere"]
+    ids = [c["check_id"] for c in json.loads(out)["checks"]]
+    assert len(ids) == len(set(ids))
+    assert ids.count("conformal.graded_qprime") == 1
 
 
 def test_run_conformal_rejects_low_order(capsys):
@@ -142,6 +173,15 @@ def test_expand_flat_curvature_is_zero(capsys):
     code, out, _ = run_cli(capsys, "expand", "R", "--order", "7", "--flat")
     assert code == 0
     assert out.strip() == "R = 0 + O(8)"
+
+
+def test_expand_flat_torsion_is_zero(capsys):
+    code, out, _ = run_cli(capsys, "expand", "A", "--order", "7", "--flat")
+    assert code == 0
+    assert out.strip() == "A = 0 + O(8)"
+    code, out, _ = run_cli(capsys, "expand", "A", "--order", "7", "--flat", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == []
 
 
 def test_expand_szego_closed_form(capsys):

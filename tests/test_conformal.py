@@ -19,7 +19,7 @@ from crprime.structure import conformal_change, q_prime, torsion_transform
 def test_battery_green():
     reps = conformal_battery()
     assert not has_failure(reps)
-    assert len(reps) == 14  # six exact cases, two checks each, plus two graded
+    assert len(reps) == 12  # six exact cases, two checks each
 
 
 def test_torsion_hand_oracle():
