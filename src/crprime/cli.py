@@ -20,7 +20,7 @@ from .heisenberg import (
     q3_identity,
     szego_candidate,
 )
-from .moser import MoserData, _quantity, example_data, moser_structure, moser_suite
+from .moser import MoserData, example_data, moser_structure, moser_suite, quantity
 from .report import has_failure, reports_to_json, reports_to_text
 from .sphere import QuadratureConfig, sphere_suite
 
@@ -208,7 +208,7 @@ def expand_command(args) -> int:
     key = QUANTITY_KEYS[args.quantity]
     md = MoserData() if args.flat else example_data()
     solve_order = order + 1 if order + 1 > 13 else None
-    series = _quantity(moser_structure(md, order=solve_order), key)
+    series = quantity(moser_structure(md, order=solve_order), key)
     shown = series.truncated(order + 1)
     if fmt == "json":
         import json

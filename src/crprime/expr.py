@@ -49,9 +49,8 @@ def _normalize_den(den):
         if f.is_const():
             scale = scale * f.const_term() ** -e
             continue
-        _, lc = f.leading()
+        f, lc = f.monic()
         if lc != GR_ONE:
-            f = f * (GR_ONE / lc)
             scale = scale * lc**-e
         if f == SIGMA:
             stack.append((ZETA, e))
@@ -80,10 +79,6 @@ class RatExpr:
         raise AttributeError("RatExpr is immutable")
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(na=p)
-
-    @classmethod
     def const(cls, c):
         return cls(na=Poly.const(c))
 
@@ -94,9 +89,6 @@ class RatExpr:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def is_rational(self):
-        return self.nb.is_zero()
 
     def as_poly(self):
         if self.nb.is_zero() and not self.den:
@@ -510,22 +502,6 @@ class LogExpr:
 
 def log_atom(name):
     return LogExpr.atom(name)
-
-
-def re_part(x: LogExpr) -> LogExpr:
-    return (x + x.conj()) * G("1/2")
-
-
-def im_part(x: LogExpr) -> LogExpr:
-    return (x - x.conj()) * G(0, "-1/2")
-
-
-def expr_diff(x, var):
-    return x.diff(var)
-
-
-def expr_is_zero(x):
-    return x.is_zero()
 
 
 def random_probe(rng):

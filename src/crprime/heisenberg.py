@@ -370,7 +370,7 @@ def heisenberg_suite() -> list:
 
     # hatted equality case via full re-solve
     ups = 2 * lg
-    hat = conformal_change(st, ups, "exact")
+    hat = conformal_change(st, ups)
     out.append(
         check_zero(
             "heisenberg.hat_torsion_resolve",
@@ -437,7 +437,7 @@ def conformal_battery() -> list:
     st = fm.structure
     out = []
     for name, ups in _battery_cases():
-        hat = conformal_change(st, ups, "exact")
+        hat = conformal_change(st, ups)
         pred = torsion_transform(st, ups)
         out.append(
             check_zero(
@@ -467,8 +467,8 @@ def graded_conformal_check(order: int = 16, goal: int = 8) -> list:
     ups = GradedSeries(
         Z * ZB + GQ("1/4") * U * U + GQ("1/8") * (Z * Z * ZB + Z * ZB * ZB), order
     )
-    hat = conformal_change(st, ups, "graded", invert_order=order)
-    pred = torsion_transform(st, ups, "graded", invert_order=order)
+    hat = conformal_change(st, ups)
+    pred = torsion_transform(st, ups)
     d_tor = hat.A - pred
     f = ups.exp(order)
     lhs = (f * f) * q_prime(hat)

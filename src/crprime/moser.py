@@ -215,7 +215,8 @@ def reference_series(e: Poly, spec: dict, order: int) -> GradedSeries:
     return GradedSeries(total, order)
 
 
-def _quantity(ms: MoserStructure, key: str) -> GradedSeries:
+def quantity(ms: MoserStructure, key: str) -> GradedSeries:
+    """The solved series named by an expansion key (one of SERIES_KEYS)."""
     st = ms.struct
     if key == "lambda":
         return ms.lam
@@ -306,9 +307,11 @@ def _block_reports(md: MoserData, which: str, spec: dict) -> list:
         if sub is None:
             continue
         target = w + d
-        ms = moser_structure(sub, order=max(_SERIES_FLOOR, target + 7))
-        resid = _quantity(ms, which) - reference_series(ms.e, spec, ms.order)
-        gold_blk = reference_series(ms.e, spec, ms.order).poly.graded_part(target)
+        # one order for every key, so each block is solved once per suite
+        ms = moser_structure(sub, order=max(_SERIES_FLOOR, w + max(_DEFECT.values()) + 7))
+        ref = reference_series(ms.e, spec, ms.order)
+        resid = quantity(ms, which) - ref
+        gold_blk = ref.poly.graded_part(target)
         check_id = f"moser.series.{which}.w{w}"
         anchor = f"{_ANCHORS[which]}, weight-{w} block of E (graded block {target})"
         detail = f"reference block {'nonzero' if gold_blk.terms else 'zero'}"
@@ -359,7 +362,7 @@ def verify_expansion(md: MoserData, which: str, golden_path=None, order=None) ->
     spec = table[which]
     cutoff = min(spec["cutoff"], _FIRST_QUADRATIC[which])
     ms = moser_structure(md, order)
-    resid = _quantity(ms, which) - reference_series(ms.e, spec, ms.order)
+    resid = quantity(ms, which) - reference_series(ms.e, spec, ms.order)
     ok = resid.certifies_O(cutoff) is True
     jet = resid.poly.truncate(cutoff)
     rep = check_true(
@@ -389,7 +392,7 @@ def pe_consistency_probe(md: MoserData, golden_path=None) -> VerificationReport:
     table = load_reference_series(golden_path)
     spec = table["pseudo_einstein"]
     ms = moser_structure(md, max(_PROBE_FLOOR, md.max_weight() + 2))
-    resid = _quantity(ms, "pseudo_einstein") - reference_series(ms.e, spec, ms.order)
+    resid = quantity(ms, "pseudo_einstein") - reference_series(ms.e, spec, ms.order)
     val = resid.valuation()
     jet = resid.poly.truncate(9)
     return recorded(

@@ -11,7 +11,7 @@ Every operation ends with one gcd pass, so gcd(den, every re, every im) = 1 and
 the zero polynomial has den == 1; equal polynomials thus have equal terms and
 den, which equality and hashing use.  GaussRational appears only at the edges:
 construction from scalar coefficients, coeffs(), const_term(), leading(),
-eval(), JSON and repr.  Polynomials are treated as immutable once built.
+eval() and repr.  Polynomials are treated as immutable once built.
 
 Each operation inserts its terms in the order term-by-term arithmetic would:
 a term that cancels is dropped and re-inserted at the end if it comes back.
@@ -384,24 +384,7 @@ class Poly:
         t = {x: (re * lr + im * li, im * lr - re * li) for x, (re, im) in self.terms.items()}
         return _reduced(t, lr * lr + li * li), self._scalar(e)
 
-    # -- serialization and display -------------------------------------------
-
-    def to_json_terms(self):
-        """Sorted [[ez, ezb, eu], quad] list; requires no pi dependence."""
-        out = []
-        for e in sorted(self.terms):
-            if e[3]:
-                raise ValueError("pi-dependent polynomial has no 3-slot form")
-            out.append([[e[0], e[1], e[2]], list(self._scalar(e).as_quad())])
-        return out
-
-    @classmethod
-    def from_json_terms(cls, data):
-        t = {}
-        for exps, quad in data:
-            e = tuple(exps) + (0,) * (4 - len(exps))
-            t[e] = GaussRational.from_quad(quad)
-        return cls(t)
+    # -- display ------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:

@@ -1,7 +1,7 @@
 """Truncated graded power series: a polynomial plus an explicit O(rho^k) error.
 
 The error order may be math.inf for exact polynomial data; exactness survives
-ring operations and derivatives, and the first genuine inversion (or exp/log)
+ring operations and derivatives, and the first genuine inversion (or exp)
 imposes a finite working order, which callers thread through explicitly.
 
 Order propagation is conservative: it may understate accuracy, never overstate
@@ -160,87 +160,27 @@ class GradedSeries:
         return GradedSeries(y, n)
 
     def exp(self, order=None):
-        if not self.poly.const_term().is_zero():
-            raise ValueError("exp needs zero constant term to stay rational")
-        n = self._target(order)
-        x = GradedSeries(self.poly, n)
-        out = GradedSeries(P_ONE, n)
-        term = GradedSeries(P_ONE, n)
-        k = 0
-        while True:
-            k += 1
-            term = term * x
-            if term.poly.is_zero():
-                break
-            out = out + term * GaussRational(rat(1, math.factorial(k)))
-            if x.poly.is_zero() or k > n:
-                break
-        return out
+        """e^x through weight < order, by the Euler-operator recurrence.
 
-    def log1p(self, order=None):
-        if not self.poly.const_term().is_zero():
-            raise ValueError("log1p needs zero constant term")
+        The Euler operator multiplies the weight-w block by w; applied to
+        y = e^x it gives E y = (E x) y, so y_0 = 1 and
+        w y_w = sum_{k=1..w} k x_k y_{w-k} (Brent & Kung, J. ACM 25, 1978).
+        Every product is homogeneous of weight w, so none is truncated.
+        """
+        if not self.poly.graded_part(0).is_zero():
+            raise ValueError("exp needs a zero weight-0 part (no constant or bare pi terms)")
         n = self._target(order)
-        x = GradedSeries(self.poly, n)
-        out = GradedSeries(P_ZERO, n)
-        term = GradedSeries(P_ONE, n)
-        k = 0
-        while True:
-            k += 1
-            term = term * x
-            if term.poly.is_zero():
-                break
-            sign = 1 if k % 2 else -1
-            out = out + term * GaussRational(rat(sign, k))
-            if k > n:
-                break
-        return out
-
-    def sqrt(self, order=None):
-        """(1 + x)^(1/2); requires constant term exactly 1."""
-        if self.poly.const_term() != GR_ONE:
-            raise ValueError("sqrt implemented for series with constant term 1")
-        n = self._target(order)
-        x = GradedSeries(self.poly - P_ONE, n)
-        out = GradedSeries(P_ONE, n)
-        term = GradedSeries(P_ONE, n)
-        coeff = GaussRational(1)
-        k = 0
-        while True:
-            k += 1
-            # binomial(1/2, k) built incrementally
-            coeff = coeff * GaussRational(rat(3 - 2 * k, 2 * k))
-            term = term * x
-            if term.poly.is_zero():
-                break
-            out = out + term * coeff
-            if k > n:
-                break
-        return out
+        kx = [self.poly.graded_part(k) * k for k in range(n)]
+        y = [P_ONE]
+        for w in range(1, n):
+            acc = P_ZERO
+            for k in range(1, w + 1):
+                if not kx[k].is_zero():
+                    acc = acc + kx[k].mul(y[w - k])
+            y.append(acc * GaussRational(rat(1, w)))
+        return GradedSeries(sum(y, P_ZERO), n)
 
     def __repr__(self):
         tail = "" if self.order == INF else f" + O({self.order})"
         return f"<{self.poly!r}{tail}>"
 
-
-def series_arith(a, b, op, order=None):
-    """Module contract dispatcher: op in {add, sub, mul, invert, exp, log1p, sqrt}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.invert(order)
-    if op == "exp":
-        return a.exp(order)
-    if op == "log1p":
-        return a.log1p(order)
-    if op == "sqrt":
-        return a.sqrt(order)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_diff(a, var):
-    return a.diff(var)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import Atom, RatExpr, log_atom
+from .expr import Atom, LogExpr, RatExpr, log_atom
 from .forms import exterior_d, one_form, sc_diff, sc_is_zero, wedge
 from .gauss import G, GaussRational, rat
 from .heisenberg import flat_model, rx
@@ -59,7 +59,7 @@ def chart_upsilon() -> LogExpr:
 @lru_cache(maxsize=1)
 def sphere_structure_in_chart():
     """Exact pseudohermitian structure of the round sphere in the rational chart."""
-    return conformal_change(flat_model().structure, chart_upsilon(), "exact")
+    return conformal_change(flat_model().structure, chart_upsilon())
 
 
 def chart_volume_density(theta):

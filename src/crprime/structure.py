@@ -33,7 +33,8 @@ from .forms import (
     sc_is_zero,
     wedge,
 )
-from .gauss import G, GaussRational
+from .gauss import G
+from .series import GradedSeries
 
 I = G(0, 1)
 HALF = G("1/2")
@@ -73,13 +74,6 @@ class PseudohermitianStructure:
     def omega_at(self, token):
         """omega(X) for X the frame vector named by '0', '1', '1b'."""
         return self.conn[{"0": 0, "1": 1, "1b": 2}[token]]
-
-
-@dataclass(frozen=True)
-class OperatorResult:
-    value: object
-    operator_name: str
-    convention: Optional[str] = None
 
 
 def solve_structure(theta, theta1_hint=None, invert_order=None):
@@ -303,17 +297,19 @@ def pseudo_einstein_tensor(struct):
 # -- conformal change --------------------------------------------------------
 
 
-def _exp_of(ups, mode, order=None):
-    if mode == "exact":
-        if not isinstance(ups, LogExpr):
-            raise StructureError("exact mode needs Upsilon as a log combination")
-        return ups.exp()
-    if mode == "graded":
+def _exp_of(struct, ups):
+    """e^Upsilon: a graded series on a graded structure, a log combination on an exact one."""
+    order = struct.invert_order
+    if order is not None and isinstance(ups, GradedSeries):
         return ups.exp(order)
-    raise ValueError("mode must be 'exact' or 'graded'")
+    if order is None and isinstance(ups, LogExpr):
+        return ups.exp()
+    raise StructureError(
+        "Upsilon must be a GradedSeries on a graded structure or a LogExpr on an exact one"
+    )
 
 
-def conformal_change(struct, ups, mode="exact", invert_order=None):
+def conformal_change(struct, ups):
     """Re-solve the structure equations for theta_hat = e^Upsilon theta.
 
     No transformation formulas are used; this is the oracle side of every
@@ -321,8 +317,7 @@ def conformal_change(struct, ups, mode="exact", invert_order=None):
     differs from e^{Upsilon/2}(theta1 + i Upsilon^{,1} theta) by a real
     factor, which leaves A^1_{1b} unchanged, so torsion comparisons are exact.
     """
-    order = invert_order if invert_order is not None else struct.invert_order
-    f = _exp_of(ups, mode, order)
+    f = _exp_of(struct, ups)
     theta_hat = f * struct.theta
     b = struct.ginv * covariant_derivative(struct, ups, "1b")
     if isinstance(b, LogExpr):
@@ -330,10 +325,10 @@ def conformal_change(struct, ups, mode="exact", invert_order=None):
         if br is not None:
             b = br
     hint = struct.theta1 + (I * b) * struct.theta
-    return solve_structure(theta_hat, theta1_hint=hint, invert_order=order)
+    return solve_structure(theta_hat, theta1_hint=hint, invert_order=struct.invert_order)
 
 
-def torsion_transform(struct, ups, mode="exact", invert_order=None):
+def torsion_transform(struct, ups):
     """Predicted hatted torsion A-hat^1_{1b} for theta_hat = e^Upsilon theta.
 
     The law is stated for A_11 with G = e^{Upsilon/2}:
@@ -342,9 +337,8 @@ def torsion_transform(struct, ups, mode="exact", invert_order=None):
     Raising back uses the unhatted g, because in the hatted Lee coframe
     g-hat = g.
     """
-    order = invert_order if invert_order is not None else struct.invert_order
-    f = _exp_of(ups, mode, order)
-    finv = invert_scalar(f, order)
+    f = _exp_of(struct, ups)
+    finv = invert_scalar(f, struct.invert_order)
     a11 = struct.g * sc_conj(struct.A)
     u1 = covariant_derivative(struct, ups, "1")
     u11 = covariant_derivative(struct, ups, "11")

@@ -53,9 +53,12 @@ SEEDS = (21, 22, 23, 24, 25)  # the five randomized instances for criteria 2 and
 ZETA = Z * ZB + Poly.const(G(0, -1)) * U
 
 
-def _quiet_cli(*argv) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(list(argv))
+def _failing_ids(*argv):
+    """Exit code and the set of failing check ids of a JSON `crprime run`."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv) + ["--format", "json"])
+    return code, {c["check_id"] for c in json.loads(out.getvalue())["checks"] if c["status"] == "fail"}
 
 
 def test_01_moser_reference_series_match_exactly():
@@ -118,7 +121,7 @@ def test_04_flat_frame_identity_suite():
 def test_05_flat_equality_case_dual_path():
     fm = flat_model()
     ups = 2 * fm.log_green
-    hat = conformal_change(fm.structure, ups, "exact")
+    hat = conformal_change(fm.structure, ups)
     assert sc_is_zero(hat.A)
     assert sc_is_zero(hat.R)
     assert sc_is_zero(torsion_transform(fm.structure, ups) - hat.A)
@@ -175,6 +178,24 @@ def test_10_negative_controls_drive_nonzero_exit(tmp_path):
     doc["series"]["curvature"]["terms"][0]["coeff"] = [3, 1, 1, 1]
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc))
-    assert _quiet_cli("run", "moser", "--golden", str(bad)) == 1
-    assert _quiet_cli("run", "heisenberg", "--corrupt", "green-power") == 1
-    assert _quiet_cli("run", "moser", "--corrupt", "moser-weight4") == 1
+    assert _failing_ids("run", "moser", "--golden", str(bad)) == (
+        1, {"moser.series.curvature.w10", "moser.series.curvature.w12"})
+    assert _failing_ids("run", "heisenberg", "--corrupt", "green-power") == (
+        1, {"heisenberg.q3_identity"})
+    assert _failing_ids("run", "moser", "--corrupt", "moser-weight4") == (1, {
+        "moser.fefferman.approximate_solution",
+        "moser.pattern.connection.dz",
+        "moser.pattern.curvature",
+        "moser.pattern.frame.du",
+        "moser.pattern.metric",
+        "moser.pattern.metric.inverse",
+        "moser.pattern.sublaplacian.h_uu",
+        "moser.pattern.sublaplacian.h_uz",
+        "moser.pattern.sublaplacian.h_uzb",
+        "moser.pattern.sublaplacian.principal",
+        "moser.pattern.theta.dz",
+        "moser.pattern.theta.dzb",
+        "moser.series.curvature",
+        "moser.series.pseudo_einstein",
+        "moser.series.torsion",
+    })

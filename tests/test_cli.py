@@ -98,19 +98,39 @@ def test_run_conformal_rejects_low_order(capsys):
 # -- negative controls ------------------------------------------------------------
 
 
+def failing_ids(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    return code, {c["check_id"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+
+
 def test_green_power_control_fails(capsys):
-    code, out, _ = run_cli(capsys, "run", "heisenberg", "--corrupt", "green-power")
-    assert code == 1
-    assert "heisenberg.q3_identity" in out
+    for suite in ("heisenberg", "all"):
+        code, fails = failing_ids(capsys, "run", suite, "--corrupt", "green-power")
+        assert code == 1
+        assert fails == {"heisenberg.q3_identity"}
+
+
+WEIGHT4_FAILS = {
+    "moser.fefferman.approximate_solution",
+    "moser.pattern.connection.dz",
+    "moser.pattern.curvature",
+    "moser.pattern.frame.du",
+    "moser.pattern.metric",
+    "moser.pattern.metric.inverse",
+    "moser.pattern.sublaplacian.h_uu",
+    "moser.pattern.sublaplacian.h_uz",
+    "moser.pattern.sublaplacian.h_uzb",
+    "moser.pattern.sublaplacian.principal",
+    "moser.pattern.theta.dz",
+    "moser.pattern.theta.dzb",
+    "moser.series.curvature",
+    "moser.series.pseudo_einstein",
+    "moser.series.torsion",
+}
 
 
 def test_weight4_control_fails(capsys):
-    code, out, _ = run_cli(capsys, "run", "moser", "--corrupt", "moser-weight4",
-                           "--format", "json")
-    assert code == 1
-    fails = {c["check_id"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
-    assert "moser.series.curvature" in fails
-    assert "moser.series.torsion" in fails
+    assert failing_ids(capsys, "run", "moser", "--corrupt", "moser-weight4") == (1, WEIGHT4_FAILS)
 
 
 def test_corrupt_flag_must_match_suite(capsys):
@@ -126,8 +146,12 @@ def test_tampered_golden_file_fails(capsys, tmp_path):
     doc["series"]["torsion"]["terms"][0]["coeff"] = [9, 1, 0, 1]
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc))
-    code, _, _ = run_cli(capsys, "run", "moser", "--golden", str(bad))
-    assert code == 1
+    assert failing_ids(capsys, "run", "moser", "--golden", str(bad)) == (1, {
+        "moser.series.torsion",
+        "moser.series.torsion.w8",
+        "moser.series.torsion.w10",
+        "moser.series.torsion.w12",
+    })
 
 
 def test_golden_flag_must_match_suite(capsys):

@@ -31,14 +31,14 @@ def test_torsion_hand_oracle():
     pred = torsion_transform(st, ups)
     got = pred.as_rat() if hasattr(pred, "as_rat") else pred
     assert (got - want).is_zero()
-    hat = conformal_change(st, ups, "exact")
+    hat = conformal_change(st, ups)
     assert (hat.A - want).is_zero()
 
 
 def test_equality_case_is_flat():
     # theta-hat = G^2 theta is again flat: A, R and Q' all vanish exactly
     fm = flat_model()
-    hat = conformal_change(fm.structure, 2 * fm.log_green, "exact")
+    hat = conformal_change(fm.structure, 2 * fm.log_green)
     assert sc_is_zero(hat.A)
     assert sc_is_zero(hat.R)
     assert sc_is_zero(q_prime(hat))
@@ -56,4 +56,4 @@ def test_exact_mode_rejects_series():
 
     st = flat_model().structure
     with pytest.raises(StructureError):
-        conformal_change(st, GradedSeries(U, 8), "exact")
+        conformal_change(st, GradedSeries(U, 8))

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from crprime import moser
 from crprime.gauss import G
 from crprime.moser import (
     MoserData,
@@ -164,7 +165,8 @@ def test_tampered_reference_file_fails(md, tmp_path):
     p = tmp_path / "tampered.json"
     p.write_text(json.dumps(doc))
     reps = verify_expansion(md, "curvature", golden_path=str(p))
-    assert any(r.status == "fail" for r in reps)
+    fails = {r.check_id for r in reps if r.status == "fail"}
+    assert fails == {"moser.series.curvature.w10", "moser.series.curvature.w12"}
 
 
 def test_unknown_reference_file_rejected(tmp_path):
@@ -286,3 +288,19 @@ def test_low_weight_corruption_fails_suite(md):
     fails = {r.check_id for r in reps if r.status == "fail"}
     assert "moser.series.curvature" in fails
     assert "moser.series.torsion" in fails
+
+
+def test_suite_solves_each_structure_once(monkeypatch):
+    # the example at its own order, the probe, the pattern order, and one
+    # solve per weight block of E (6, 8, 10, 12) shared by every key
+    calls = []
+    solve = moser.solve_structure
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("invert_order"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(moser, "solve_structure", counted)
+    moser._solve.cache_clear()
+    moser_suite(example_data())
+    assert len(calls) == 7, calls

@@ -3,7 +3,7 @@
 import pytest
 
 from crprime.gauss import G, GaussRational
-from crprime.poly import P_ONE, P_ZERO, PI, U, Z, ZB, Poly, wdeg
+from crprime.poly import P_ONE, P_ZERO, PI, U, Z, ZB, wdeg
 
 
 def test_weights():
@@ -90,13 +90,6 @@ def test_divide_exact():
     q = a.divide_exact(b)
     assert q is not None and q * b == a
     assert (Z * ZB + U).divide_exact(Z) is None
-
-
-def test_json_roundtrip():
-    p = G(2, -3) * Z**2 * ZB + G("1/2") * U
-    assert Poly.from_json_terms(p.to_json_terms()) == p
-    with pytest.raises(ValueError):
-        (PI * Z).to_json_terms()
 
 
 def test_pow_and_hash():

@@ -1,6 +1,6 @@
 """Order-tracked series: the contract is that every emitted O(rho^k) is true."""
 
-import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from crprime.gauss import G
 from crprime.poly import P_ONE, PI, U, Z, ZB, Poly
-from crprime.series import INF, GradedSeries, series_arith, series_diff
+from crprime.series import INF, GradedSeries
 
 
 def S(poly, order=INF):
@@ -65,9 +65,9 @@ def test_valuation():
 
 def test_diff_drops_order():
     s = S(Z * U, 6)
-    assert series_diff(s, "z").order == 5
-    assert series_diff(s, "u").order == 4
-    assert series_diff(s, "u").poly == Z
+    assert s.diff("z").order == 5
+    assert s.diff("u").order == 4
+    assert s.diff("u").poly == Z
     with pytest.raises(ValueError):
         S(Z, 2).diff("u")
 
@@ -111,21 +111,36 @@ def test_invert_rejects_weight_zero_pi_terms():
 def test_exp_log_roundtrip():
     assert S(Poly.const(0), 5).exp().poly == P_ONE
 
-    x = Z * ZB + 2 * U
-    e = S(x).exp(7)
-    l = (e - P_ONE).log1p(7)
-    assert l.poly == x
-    assert e.poly.graded_part(0) == P_ONE.graded_part(0)
+    x = Z * ZB + 2 * U + G(1, -2) * Z**3 + PI * ZB
+    for n in (1, 2, 7, 10):
+        e, f = S(x).exp(n), S(-x).exp(n)
+        assert e.order == n
+        assert e.poly.max_wdeg() < n
+        assert e.poly.mul(f.poly, n) == P_ONE
+        # d log e^x = dx: the logarithmic derivative gives x back
+        for var in ("z", "zb"):
+            assert e.poly.diff(var).truncate(n - 1) == x.diff(var).mul(e.poly, n - 1)
 
     with pytest.raises(ValueError):
         S(P_ONE).exp(4)
 
 
-def test_sqrt():
-    f = S(P_ONE + U).sqrt(7)
-    assert (f * f).poly == (P_ONE + U).truncate(7)
+def test_exp_rejects_weight_zero_pi_terms():
+    # e^pi is not a polynomial in pi; a truncated Taylor sum in pi would be wrong
     with pytest.raises(ValueError):
-        S(2 * P_ONE).sqrt(4)
+        GradedSeries(PI).exp(3)
+
+
+def test_exp_matches_taylor_sum_on_the_graded_conformal_factor():
+    order = 16
+    x = Z * ZB + G("1/4") * U * U + G("1/8") * (Z * Z * ZB + Z * ZB * ZB)
+    taylor, term = P_ONE, P_ONE
+    for k in range(1, order):
+        term = term.mul(x, order) * G(Fraction(1, k))
+        taylor = taylor + term
+    e = GradedSeries(x, order).exp(order)
+    assert e.order == order
+    assert e.poly == taylor
 
 
 def test_scalar_mixing():
@@ -133,13 +148,6 @@ def test_scalar_mixing():
     assert (2 * s).poly == 2 * Z
     assert (s + 1).poly == P_ONE + Z
     assert (G(0, 1) * s).poly == G(0, 1) * Z
-
-
-def test_dispatcher():
-    a, b = S(Z, 5), S(ZB, 5)
-    assert series_arith(a, b, "mul").poly == Z * ZB
-    with pytest.raises(ValueError):
-        series_arith(a, b, "compose")
 
 
 coeff = st.integers(-3, 3)

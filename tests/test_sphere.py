@@ -1,12 +1,13 @@
 """Sphere chart: exact structure checks, compiled quadrature, delta constant."""
 
 import math
+import typing
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from crprime.expr import RatExpr
+from crprime.expr import LogExpr, RatExpr
 from crprime.forms import sc_is_zero
 from crprime.gauss import G, rat
 from crprime.heisenberg import flat_model, rx
@@ -49,6 +50,10 @@ def test_chart_factor_normalization():
 
 def test_chart_upsilon_exponentiates_to_the_factor():
     assert chart_upsilon().exp() == chart_factor()
+
+
+def test_chart_upsilon_annotation_resolves():
+    assert typing.get_type_hints(chart_upsilon)["return"] is LogExpr
 
 
 def test_structure_is_torsion_free_and_pseudo_einstein():

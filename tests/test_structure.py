@@ -137,7 +137,7 @@ def test_qprime_rhs_requires_pseudo_einstein(flat):
 
     Atom.register("log_one_plus_usq", rx(P_ONE + U * U), "log_one_plus_usq")
     ups = log_atom("log_one_plus_usq")
-    hat = conformal_change(flat, ups, "exact")
+    hat = conformal_change(flat, ups)
     assert not sc_is_zero(pseudo_einstein_tensor(hat))
     with pytest.raises(StructureError):
         qprime_conformal_rhs(hat, ups)
@@ -155,7 +155,7 @@ def curved():
     # result has nonzero torsion while staying pseudo-Einstein
     base = flat_series_structure(ORDER)
     ups = GradedSeries(U, ORDER)
-    return base, ups, conformal_change(base, ups, "graded", invert_order=ORDER)
+    return base, ups, conformal_change(base, ups)
 
 
 def test_curved_solve_consistent(curved):
@@ -166,7 +166,7 @@ def test_curved_solve_consistent(curved):
 
 def test_curved_torsion_dual_path(curved):
     base, ups, hat = curved
-    pred = torsion_transform(base, ups, "graded", invert_order=ORDER)
+    pred = torsion_transform(base, ups)
     d = hat.A - pred
     assert d.is_zero() and d.order >= ORDER - 4
     # A_11-hat = i zb^2 e^{-u}; raising conjugates, so A^1_{1b} leads with -i z^2
