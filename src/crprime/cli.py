@@ -142,7 +142,10 @@ def _suite_reports(name, settings, golden=None, corrupt=None) -> list:
             raise UsageError("conformal suite needs --order >= 10")
         return conformal_battery() + graded_conformal_check(order=order)
     if name == "sphere":
-        return sphere_suite(_quad_config(settings), seed=seed)
+        # --tol alone leaves the delta ball on its own default grid
+        config = _quad_config(settings)
+        delta_config = config if "grid" in settings else None
+        return sphere_suite(config, seed=seed, delta_config=delta_config)
     raise UsageError(f"unknown suite {name!r}")
 
 

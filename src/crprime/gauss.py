@@ -148,20 +148,6 @@ class GaussRational:
     def __complex__(self):
         return float(self.re) + 1j * float(self.im)
 
-    def as_quad(self):
-        """(re_num, re_den, im_num, im_den) as plain ints, for serialization."""
-        return (
-            int(self.re.numerator),
-            int(self.re.denominator),
-            int(self.im.numerator),
-            int(self.im.denominator),
-        )
-
-    @classmethod
-    def from_quad(cls, quad):
-        rn, rd, im_n, im_d = quad
-        return cls(_Q(rn, rd), _Q(im_n, im_d))
-
     def __repr__(self):
         if self.im == 0:
             return str(self.re)

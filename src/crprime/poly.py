@@ -10,8 +10,8 @@ numerators (re, im) of Python ints, never (0, 0), and `den` is a positive int.
 Every operation ends with one gcd pass, so gcd(den, every re, every im) = 1 and
 the zero polynomial has den == 1; equal polynomials thus have equal terms and
 den, which equality and hashing use.  GaussRational appears only at the edges:
-construction from scalar coefficients, coeffs(), const_term(), leading(),
-eval() and repr.  Polynomials are treated as immutable once built.
+construction from scalar coefficients, coeffs(), const_term(), eval() and
+repr.  Polynomials are treated as immutable once built.
 
 Each operation inserts its terms in the order term-by-term arithmetic would:
 a term that cancels is dropped and re-inserted at the end if it comes back.
@@ -319,11 +319,6 @@ class Poly:
         return _reduced(out, self.den * td ** top)
 
     # -- division -----------------------------------------------------------
-
-    def leading(self):
-        """Lex-leading (exps, coeff) over the slot order (z, zb, u, pi)."""
-        e = max(self.terms)
-        return e, self._scalar(e)
 
     def divide_exact(self, divisor):
         """Exact quotient self/divisor, or None when not divisible.

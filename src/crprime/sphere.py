@@ -7,6 +7,9 @@ exactly (4 / (D Db)) theta, so the chart conformal factor is rational and the
 whole structure stays inside the exact layer.  Only the final integrals are
 floating point: anisotropic shells adapted to the parabolic dilations, Gauss
 rules in the radial and vertical angles, trapezoid in the rotation angle.
+Each call of a compiled integrand tabulates the powers of z, zb, u and pi
+once per shell and shares them between all its monomials; every term is
+still formed as c * z^a * zb^b * u^c * pi^d, so the floats are unchanged.
 """
 
 from __future__ import annotations
@@ -260,10 +263,11 @@ def _poly_terms(p: Poly):
     return [(complex(c.re, c.im), e[0], e[1], e[2], e[3]) for e, c in p.coeffs()]
 
 
-def _poly_eval_grid(terms, z, zb, u, pi_value):
-    tot = np.zeros(np.broadcast(z, u).shape, dtype=complex)
+def _poly_eval_grid(terms, shape, zp, zbp, up, pip):
+    # zp, zbp, up, pip map each exponent to the power of z, zb, u, pi
+    tot = np.zeros(shape, dtype=complex)
     for c, ez, ezb, eu, epi in terms:
-        tot += c * z**ez * zb**ezb * u**eu * pi_value**epi
+        tot += c * zp[ez] * zbp[ezb] * up[eu] * pip[epi]
     return tot
 
 
@@ -295,6 +299,9 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
     na_terms = _poly_terms(e.na)
     nb_terms = _poly_terms(e.nb)
     den_terms = [(_poly_terms(f), k) for f, k in e.den.items()]
+    # the exponents of z, zb, u, pi that occur in any factor, for the power tables
+    all_terms = na_terms + nb_terms + [t for terms, _ in den_terms for t in terms]
+    exponents = [sorted({t[slot] for t in all_terms}) for slot in range(1, 5)]
 
     def fn(x, y, u, pi_value=math.pi):
         x = np.asarray(x, dtype=float)
@@ -303,12 +310,15 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
         z = x + 1j * y
         zb = np.conjugate(z)
         s = np.sqrt((x * x + y * y) ** 2 + u * u)
-        num = _poly_eval_grid(na_terms, z, zb, u, pi_value)
+        shape = np.broadcast(z, u).shape
+        powers = [{k: base**k for k in ks}
+                  for base, ks in zip((z, zb, u, pi_value), exponents)]
+        num = _poly_eval_grid(na_terms, shape, *powers)
         if nb_terms:
-            num = num + _poly_eval_grid(nb_terms, z, zb, u, pi_value) * s
+            num = num + _poly_eval_grid(nb_terms, shape, *powers) * s
         den = np.ones_like(num)
         for terms, k in den_terms:
-            den = den * _poly_eval_grid(terms, z, zb, u, pi_value) ** k
+            den = den * _poly_eval_grid(terms, shape, *powers) ** k
         return num / den
 
     return ChartIntegrand(label=label, exact=e,
@@ -438,12 +448,14 @@ def _shell_sum(ci: ChartIntegrand, rho, wrho, config: QuadratureConfig,
 
     xc, yc, uc = center
     PSI, PHI = np.meshgrid(psi, phi, indexing="ij")
+    sqrt_cos_psi, sin_psi = np.sqrt(np.cos(PSI)), np.sin(PSI)
+    cos_phi, sin_phi = np.cos(PHI), np.sin(PHI)
     partials = []
     for i in range(len(rho)):
-        r = rho[i] * np.sqrt(np.cos(PSI))
-        x = xc + r * np.cos(PHI)
-        y = yc + r * np.sin(PHI)
-        u = uc + rho[i] ** 2 * np.sin(PSI)
+        r = rho[i] * sqrt_cos_psi
+        x = xc + r * cos_phi
+        y = yc + r * sin_phi
+        u = uc + rho[i] ** 2 * sin_psi
         v = ci.fn(x, y, u).real
         shell = float(np.einsum("ab,a->", v, wpsi)) * wphi
         partials.append(shell * rho[i] ** 3 * wrho[i])
@@ -652,10 +664,13 @@ def delta_reports(config: QuadratureConfig = None) -> list:
     return out
 
 
-def sphere_suite(config: QuadratureConfig = None, seed=0) -> list:
+def sphere_suite(config: QuadratureConfig = None, seed=0,
+                 delta_config: QuadratureConfig = None) -> list:
+    """All sphere checks; config drives the total integral, delta_config the
+    delta ball (None keeps each one's own default grid)."""
     reports = []
     reports += chart_reports()
     reports += equality_reports()
     reports += integral_reports(config, seed=seed)
-    reports += delta_reports(config)
+    reports += delta_reports(delta_config)
     return reports

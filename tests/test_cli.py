@@ -52,6 +52,14 @@ def test_byte_identical_reports_for_fixed_config(capsys):
     assert out1 == out2
 
 
+def test_tol_alone_leaves_the_delta_grid_alone(capsys):
+    # --tol 1e-6 is the default tolerance; it must not move the delta ball
+    # from its own 32 azimuthal nodes to the chart grid's 16
+    _, plain, _ = run_cli(capsys, "run", "sphere", "--format", "json")
+    _, tol, _ = run_cli(capsys, "run", "sphere", "--tol", "1e-6", "--format", "json")
+    assert json.loads(tol)["checks"] == json.loads(plain)["checks"]
+
+
 def test_report_json_roundtrips(capsys):
     _, out, _ = run_cli(capsys, "run", "sphere", "--format", "json",
                         "--grid", FAST_GRID)

@@ -1,6 +1,6 @@
 import pytest
 
-from crprime.gauss import G, GR_I, GR_ONE, GR_ZERO, GaussRational, rat
+from crprime.gauss import G, GR_I, GR_ONE, GR_ZERO, rat
 
 
 def test_construct_and_repr():
@@ -52,12 +52,6 @@ def test_hash_compatible_with_rationals():
     assert hash(G(1, 2)) != hash(G(1, -2))
     d = {G(1, 0): "a"}
     assert d[G(1)] == "a"
-
-
-def test_quad_roundtrip():
-    a = G("22/7", "-3/5")
-    assert GaussRational.from_quad(a.as_quad()) == a
-    assert all(isinstance(x, int) for x in a.as_quad())
 
 
 def test_complex_conversion():

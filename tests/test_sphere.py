@@ -35,6 +35,7 @@ from crprime.sphere import (
     _gauss,
 )
 from crprime.structure import (
+    cr_laplacian,
     pseudo_einstein_tensor,
     q_prime,
     torsion_transform,
@@ -152,6 +153,53 @@ def test_qprime_integrand_probes_and_decays():
     dec = decay_report(ci, "decay.qprime")
     assert dec.status == "pass"
     assert float(dec.residual) > 7.5  # closed form falls off like rho^-8
+
+
+def reference_fn(e, x, y, u, pi_value=math.pi):
+    """The compiled integrand with every power taken afresh for every term."""
+    x, y, u = (np.asarray(a, dtype=float) for a in (x, y, u))
+    z = x + 1j * y
+    zb = np.conjugate(z)
+    s = np.sqrt((x * x + y * y) ** 2 + u * u)
+
+    def ev(p):
+        tot = np.zeros(np.broadcast(z, u).shape, dtype=complex)
+        for (ez, ezb, eu, epi), c in p.coeffs():
+            tot += complex(c.re, c.im) * z**ez * zb**ezb * u**eu * pi_value**epi
+        return tot
+
+    num = ev(e.na)
+    if not e.nb.is_zero():
+        num = num + ev(e.nb) * s
+    den = np.ones_like(num)
+    for f, k in e.den.items():
+        den = den * ev(f) ** k
+    return num / den
+
+
+def test_power_tables_leave_every_float_unchanged():
+    fm = flat_model()
+    bump = bump_profile(5, center=((3, 2), 0, 0))
+    integrands = [
+        compile_integrand(fm.green * cr_laplacian(fm.structure, rx(bump)),
+                          singular_exponent=2),
+        qprime_volume_integrand(),
+        compile_integrand(fm.green, origin_in_domain=False),
+    ]
+    # one shell of the off-center delta ball, which keeps clear of the pole
+    psi = (np.pi / 2) * _gauss(40)[0]
+    phi = 2 * np.pi * np.arange(16) / 16
+    PSI, PHI = np.meshgrid(psi, phi, indexing="ij")
+    r = 0.7 * np.sqrt(np.cos(PSI))
+    shell = (1.5 + r * np.cos(PHI), r * np.sin(PHI), 0.49 * np.sin(PSI))
+    for ci in integrands:
+        assert np.array_equal(ci.fn(*shell), reference_fn(ci.exact, *shell)), ci.label
+        for point in ((0.5, -1.5, 0.75), (1.25, 0.25, -3.0)):
+            for pi_value in (math.pi, 25 / 8):
+                got = ci.fn(*point, pi_value=pi_value)
+                want = reference_fn(ci.exact, *point, pi_value=pi_value)
+                assert np.ndim(got) == 0
+                assert np.array_equal(got, want), (ci.label, point, pi_value)
 
 
 # -- the total integral ----------------------------------------------------------
