@@ -1,26 +1,20 @@
 """Exact Gaussian-rational arithmetic.
 
-Coefficients live in Q(i): real and imaginary parts are arbitrary-precision
-rationals (gmpy2.mpq when importable, fractions.Fraction otherwise). Equality
-is exact; nothing in this layer carries a floating tolerance.  Polynomials
-keep their own integer numerators (poly.py); this type is their scalar edge.
+Coefficients live in Q(i): real and imaginary parts are fractions.Fraction,
+with no optional backend, so exact results are the same on every machine.
+Equality is exact; nothing in this layer carries a floating tolerance.
+Polynomials keep their own integer numerators (poly.py); this type is their
+scalar edge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # gmpy2 is optional and not a declared dependency
-    _Q = Fraction
-
-_QTYPE = type(_Q(0))
-
 
 def rat(num, den=1):
-    """The underlying exact rational type (accepts ints or 'p/q' strings)."""
-    return _Q(num, den)
+    """The exact rational num/den, from ints or Fractions."""
+    return Fraction(num, den)
 
 
 class GaussRational:
@@ -29,8 +23,8 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is _QTYPE else _Q(re))
-        object.__setattr__(self, "im", im if type(im) is _QTYPE else _Q(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -41,7 +35,7 @@ class GaussRational:
     def _coerce(x):
         if isinstance(x, GaussRational):
             return x
-        if isinstance(x, (int, Fraction)) or type(x) is _QTYPE:
+        if isinstance(x, (int, Fraction)):
             return GaussRational(x)
         return NotImplemented
 
@@ -159,8 +153,8 @@ class GaussRational:
 
 def G(re, im=0):
     """Shorthand constructor; accepts ints, rationals or 'p/q' strings."""
-    re = _Q(re) if isinstance(re, str) else re
-    im = _Q(im) if isinstance(im, str) else im
+    re = Fraction(re) if isinstance(re, str) else re
+    im = Fraction(im) if isinstance(im, str) else im
     return GaussRational(re, im)
 
 

@@ -60,6 +60,20 @@ def test_tol_alone_leaves_the_delta_grid_alone(capsys):
     assert json.loads(tol)["checks"] == json.loads(plain)["checks"]
 
 
+@pytest.mark.parametrize("flag", [("--grid", "4x4x4"), ("--tol", "1e-20")])
+def test_unconverged_total_is_a_failing_check_not_a_crash(capsys, flag):
+    code, out, _ = run_cli(capsys, "run", "sphere", "--format", "json", *flag)
+    assert code == 1
+    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+    assert checks["sphere.integral.total"]["status"] == "fail"
+    assert "estimate" in checks["sphere.integral.total"]["detail"]
+    if flag[0] == "--tol":
+        # over budget: the checks measured against the estimate are left out
+        assert "over budget 1.0e-20" in checks["sphere.integral.total"]["detail"]
+        assert not {"sphere.integral.node_doubling", "sphere.integral.linearity",
+                    "sphere.integral.rotation"} & set(checks)
+
+
 def test_report_json_roundtrips(capsys):
     _, out, _ = run_cli(capsys, "run", "sphere", "--format", "json",
                         "--grid", FAST_GRID)
@@ -189,6 +203,16 @@ def test_config_file_errors_are_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "run", "sphere", "--config", str(tmp_path / "nope"))[0] == 2
     assert run_cli(capsys, "run", "sphere", "--grid", "96x40")[0] == 2
     assert run_cli(capsys, "run", "sphere", "--grid", "3x4x5")[0] == 2
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_non_finite_or_non_positive_tol_is_a_usage_error(capsys, tmp_path, tol):
+    code, out, err = run_cli(capsys, "run", "sphere", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert "tol" in err
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"tol = {tol}\n")
+    assert run_cli(capsys, "run", "sphere", "--config", str(cfg))[0] == 2
 
 
 # -- expand ---------------------------------------------------------------------------

@@ -103,6 +103,11 @@ def test_config_rejects_degenerate_grids():
         QuadratureConfig(radius=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(tol=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(radius=bad)
 
 
 def test_config_halving_floors_at_four():
@@ -186,20 +191,74 @@ def test_power_tables_leave_every_float_unchanged():
         qprime_volume_integrand(),
         compile_integrand(fm.green, origin_in_domain=False),
     ]
-    # one shell of the off-center delta ball, which keeps clear of the pole
+    # one shell of the off-center delta ball, which keeps clear of the pole;
+    # phi = 0 gives a row with y = 0 exactly, where zb^k and the conjugate of
+    # z^k may differ in the sign of a zero
     psi = (np.pi / 2) * _gauss(40)[0]
     phi = 2 * np.pi * np.arange(16) / 16
     PSI, PHI = np.meshgrid(psi, phi, indexing="ij")
     r = 0.7 * np.sqrt(np.cos(PSI))
     shell = (1.5 + r * np.cos(PHI), r * np.sin(PHI), 0.49 * np.sin(PSI))
+    assert np.all(shell[1][:, 0] == 0)
+    # u does not depend on phi; the quadrature passes it as one column
+    column = shell[:2] + (shell[2][:, :1],)
     for ci in integrands:
-        assert np.array_equal(ci.fn(*shell), reference_fn(ci.exact, *shell)), ci.label
+        want = reference_fn(ci.exact, *shell)
+        assert np.array_equal(ci.fn(*shell), want), ci.label
+        assert np.array_equal(ci.fn(*column), want), ci.label
+        # one row of x and y broadcast against the column spans the grid
+        row = (shell[0][:1], shell[1][:1], column[2])
+        got = ci.fn(*row)
+        assert got.shape == shell[0].shape
+        assert np.array_equal(got, reference_fn(ci.exact, *row)), ci.label
         for point in ((0.5, -1.5, 0.75), (1.25, 0.25, -3.0)):
             for pi_value in (math.pi, 25 / 8):
                 got = ci.fn(*point, pi_value=pi_value)
                 want = reference_fn(ci.exact, *point, pi_value=pi_value)
                 assert np.ndim(got) == 0
                 assert np.array_equal(got, want), (ci.label, point, pi_value)
+
+
+def reference_shell_sum(ci, rho, wrho, config, center=(0.0, 0.0, 0.0), rotation=0.0):
+    """The quadrature with u on the full (psi, phi) grid and fresh powers per term."""
+    tp, wp = _gauss(config.n_angular)
+    psi = (np.pi / 2) * tp
+    wpsi = (np.pi / 2) * wp
+    nphi = config.n_azimuthal
+    phi = 2 * np.pi * np.arange(nphi) / nphi + rotation
+    wphi = 2 * np.pi / nphi
+    xc, yc, uc = center
+    PSI, PHI = np.meshgrid(psi, phi, indexing="ij")
+    partials = []
+    for i in range(len(rho)):
+        r = rho[i] * np.sqrt(np.cos(PSI))
+        x = xc + r * np.cos(PHI)
+        y = yc + r * np.sin(PHI)
+        u = uc + rho[i] ** 2 * np.sin(PSI)
+        v = reference_fn(ci.exact, x, y, u).real
+        shell = float(np.einsum("ab,a->", v, wpsi)) * wphi
+        partials.append(shell * rho[i] ** 3 * wrho[i])
+    return math.fsum(partials)
+
+
+def test_chart_and_ball_integrals_match_the_full_grid_reference():
+    config = QuadratureConfig(n_radial=8, n_angular=8, n_azimuthal=6)
+    t, w = _gauss(config.n_radial)
+
+    ci = qprime_volume_integrand()
+    tt, wt = (t + 1) / 2, w / 2
+    rho, wrho = tt / (1 - tt), wt / (1 - tt) ** 2
+    for rotation in (0.0, 0.7368):
+        want = reference_shell_sum(ci, rho, wrho, config, rotation=rotation)
+        assert integrate_chart(ci, config, rotation=rotation) == want, rotation
+
+    fm = flat_model()
+    for center in ((0.0, 0.0, 0.0), (1.5, 0.0, 0.0)):
+        bump = bump_profile(5, center=(Fraction(center[0]), 0, 0))
+        ci = compile_integrand(fm.green * cr_laplacian(fm.structure, rx(bump)),
+                               singular_exponent=2)
+        want = reference_shell_sum(ci, (t + 1) / 2, w / 2, config, center=center)
+        assert integrate_ball(ci, config, 1.0, center=center) == want, center
 
 
 # -- the total integral ----------------------------------------------------------
