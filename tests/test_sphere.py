@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crprime import sphere
 from crprime.expr import LogExpr, RatExpr
 from crprime.forms import sc_is_zero
 from crprime.gauss import G, rat
@@ -219,6 +220,25 @@ def test_power_tables_leave_every_float_unchanged():
                 assert np.array_equal(got, want), (ci.label, point, pi_value)
 
 
+def test_terms_with_exponent_zero_factors_leave_every_float_unchanged():
+    # a constant term, a pi-only, a u-only and a zb-only term: only the
+    # factors with a nonzero exponent are multiplied, a term with none is c
+    na = (Poly.const(G(3, 1)) + Poly.monomial(G(2), epi=2)
+          + Poly.monomial(G(-1, 1), eu=3) + Poly.monomial(G(1, 2), ezb=2))
+    e = RatExpr(na=na, nb=Poly.monomial(G(1, -1), ez=1), den={CHART_DENOMINATOR: 2})
+    fn = compile_integrand(e).fn
+    psi = (np.pi / 2) * _gauss(8)[0]
+    PSI, PHI = np.meshgrid(psi, 2 * np.pi * np.arange(6) / 6, indexing="ij")
+    r = 0.9 * np.sqrt(np.cos(PSI))
+    shell = (0.25 + r * np.cos(PHI), r * np.sin(PHI), -0.5 + 0.81 * np.sin(PSI))
+    column = shell[:2] + (shell[2][:, :1],)
+    row = (shell[0][:1], shell[1][:1], column[2])
+    for args in (shell, column, row, (0.5, -1.5, 0.75), (0.0, 0.0, 0.0)):
+        got = fn(*args)
+        assert got.shape == np.broadcast(*args).shape
+        assert np.array_equal(got, reference_fn(e, *args)), args
+
+
 def reference_shell_sum(ci, rho, wrho, config, center=(0.0, 0.0, 0.0), rotation=0.0):
     """The quadrature with u on the full (psi, phi) grid and fresh powers per term."""
     tp, wp = _gauss(config.n_angular)
@@ -259,6 +279,24 @@ def test_chart_and_ball_integrals_match_the_full_grid_reference():
                                singular_exponent=2)
         want = reference_shell_sum(ci, (t + 1) / 2, w / 2, config, center=center)
         assert integrate_ball(ci, config, 1.0, center=center) == want, center
+
+
+def test_integral_reports_integrate_the_halved_grid_once(monkeypatch):
+    configs = []
+
+    def counting(ci, config, rotation=0.0):
+        configs.append(config)
+        return integrate_chart(ci, config, rotation=rotation)
+
+    monkeypatch.setattr(sphere, "integrate_chart", counting)
+    config = QuadratureConfig(n_radial=24, n_angular=12, n_azimuthal=8, tol=1e-3)
+    reports = {r.check_id: r for r in sphere.integral_reports(config)}
+    assert not has_failure(list(reports.values()))
+    assert {"sphere.integral.linearity", "sphere.integral.rotation"} <= set(reports)
+    # value, halved and doubled totals, then linearity and rotation on config
+    assert configs.count(config.halved()) == 1
+    assert configs.count(config) == 3
+    assert len(configs) == 5
 
 
 # -- the total integral ----------------------------------------------------------
@@ -314,6 +352,14 @@ def test_total_q_prime_linearity_and_rotation():
 def test_total_q_prime_reports_budget_exhaustion():
     with pytest.raises(ArithmeticError, match="converge"):
         total_q_prime(QuadratureConfig(n_radial=8, n_angular=4, n_azimuthal=4, tol=1e-13))
+
+
+def test_total_q_prime_has_no_estimate_on_the_floored_grid():
+    # 4x4x4 halves to itself, so value - halved would be 0 and measure nothing
+    floored = QuadratureConfig(n_radial=4, n_angular=4, n_azimuthal=4, tol=1)
+    assert floored.halved() == floored
+    with pytest.raises(ArithmeticError, match="halved grid equals the grid"):
+        total_q_prime(floored)
 
 
 # -- delta normalization ----------------------------------------------------------
