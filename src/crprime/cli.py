@@ -195,6 +195,8 @@ def _series_terms(poly):
 def expand_command(args) -> int:
     settings = _effective_settings(args)
     order = settings.get("order", 7)
+    if order < 0:
+        raise UsageError(f"expand needs --order >= 0, got {order}")
     fmt = settings.get("format", "text")
 
     if args.quantity == "szego":

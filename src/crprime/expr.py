@@ -50,7 +50,7 @@ def _normalize_den(den):
             scale = scale * f.const_term() ** -e
             continue
         f, lc = f.monic()
-        if lc != GR_ONE:
+        if lc is not GR_ONE:
             scale = scale * lc**-e
         if f == SIGMA:
             stack.append((ZETA, e))
@@ -67,7 +67,7 @@ class RatExpr:
         na = na if isinstance(na, Poly) else Poly.const(na)
         nb = nb if isinstance(nb, Poly) else Poly.const(nb)
         den, scale = _normalize_den(den or {})
-        if scale != GR_ONE:
+        if scale is not GR_ONE:
             na, nb = na * scale, nb * scale
         if na.is_zero() and nb.is_zero():
             den = {}

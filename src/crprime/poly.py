@@ -15,7 +15,9 @@ repr.  Polynomials are treated as immutable once built.
 
 Each operation inserts its terms in the order term-by-term arithmetic would:
 a term that cancels is dropped and re-inserted at the end if it comes back.
-Floating-point evaluation (sphere.py) sums in this order.
+Floating-point evaluation (sphere.py) sums in this order.  A product or sum
+with a 0 or 1 operand returns at once (0, the other operand, its truncation
+or its negation), with the terms in the order the term loop would give them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .gauss import GR_ONE, GR_ZERO, GaussRational, rat
 
 VARS = ("z", "zb", "u", "pi")
 _SLOT = {"z": 0, "zb": 1, "u": 2, "pi": 3}
+_ONE_TERMS = {(0, 0, 0, 0): (1, 0)}
+_INF = float("inf")
 
 
 def wdeg(exps):
@@ -112,6 +116,10 @@ class Poly:
 
     def _add(self, o, sign):
         """self + sign * o, for sign = +1 or -1."""
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o if sign == 1 else -o
         da, db = self.den, o.den
         g = gcd(da, db)
         sa, sb = db // g, sign * (da // g)
@@ -157,12 +165,18 @@ class Poly:
         if o is None:
             raise TypeError(f"cannot multiply Poly by {type(other).__name__}")
         a, b = self.terms, o.terms
+        if not a or not b:
+            return P_ZERO
+        if o.den == 1 and b == _ONE_TERMS:
+            return self if order is None else self.truncate(order)
+        if self.den == 1 and a == _ONE_TERMS:
+            return o if order is None else o.truncate(order)
         if len(a) > len(b):
             a, b = b, a
         inner = [(e[0], e[1], e[2], e[3], e[0] + e[1] + 2 * e[2], re, im)
                  for e, (re, im) in b.items()]
         if order is None:
-            order = self.max_wdeg() + o.max_wdeg() + 1
+            order = _INF
         t = {}
         get = t.get
         for (z1, zb1, u1, p1), (r1, i1) in a.items():

@@ -355,13 +355,12 @@ def qprime_conformal_rhs(struct, ups):
     pe = pseudo_einstein_tensor(struct)
     if not sc_is_zero(pe):
         raise StructureError("base structure is not pseudo-Einstein")
-    grad_pair = (struct.ginv * covariant_derivative(struct, ups, "1b")) * p3_operator(
-        struct, ups
-    )
+    p3 = p3_operator(struct, ups)
+    grad_pair = (struct.ginv * covariant_derivative(struct, ups, "1b")) * p3
     return (
         q_prime(struct)
         + p_prime(struct, ups)
         + HALF * paneitz(struct, ups * ups, "body")
-        - ups * paneitz(struct, ups, "body")
+        - ups * (4 * _raised_divergence(struct, p3))
         - 16 * re_scalar(grad_pair)
     )

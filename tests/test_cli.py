@@ -259,6 +259,18 @@ def test_expand_json_terms(capsys):
     assert set(doc["terms"][0]) <= {"coeff", "z", "zb", "u", "pi"}
 
 
+@pytest.mark.parametrize("order", ["-1", "-5"])
+def test_expand_negative_order_is_a_usage_error(capsys, tmp_path, order):
+    code, out, err = run_cli(capsys, "expand", "R", "--order", order)
+    assert (code, out) == (2, "")
+    assert "order" in err
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(f"order = {order}\n")
+    code, out, err = run_cli(capsys, "expand", "R", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "order" in err
+
+
 def test_expand_unknown_quantity_is_usage_error(capsys):
     assert run_cli(capsys, "expand", "torsion")[0] == 2
 

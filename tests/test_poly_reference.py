@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crprime.gauss import GaussRational
-from crprime.poly import P_ZERO, Poly, wdeg
+from crprime.poly import P_ONE, P_ZERO, Poly, wdeg
 
 # few exponents and small coefficients, so that terms collide and cancel often
 EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))
@@ -82,6 +82,31 @@ def test_mul_matches_reference(a, b, order):
     a, b = clean(a), clean(b)
     same(poly(a).mul(poly(b), order), ref_mul(a, b, order))
     same(poly(b).mul(poly(a), order), ref_mul(b, a, order))
+
+
+@SETTINGS
+@given(REFS, ORDERS)
+def test_zero_and_unit_products_match_reference(a, order):
+    a = clean(a)
+    zero, one = {}, {(0, 0, 0, 0): (Fraction(1), Fraction(0))}
+    for other in (zero, one):
+        same(poly(a).mul(poly(other), order), ref_mul(a, other, order))
+        same(poly(other).mul(poly(a), order), ref_mul(other, a, order))
+    x = poly(a)
+    if a:
+        assert x.mul(P_ONE) is x and P_ONE.mul(x) is x
+
+
+@SETTINGS
+@given(REFS)
+def test_sums_with_zero_match_reference(a):
+    a = clean(a)
+    x = poly(a)
+    same(x + P_ZERO, ref_add(a, {}))
+    same(x - P_ZERO, ref_add(a, {}, -1))
+    same(P_ZERO + x, ref_add({}, a))
+    same(P_ZERO - x, ref_add({}, a, -1))
+    assert (x + P_ZERO) is x and (x - P_ZERO) is x
 
 
 @SETTINGS
