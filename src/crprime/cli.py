@@ -20,7 +20,14 @@ from .heisenberg import (
     q3_identity,
     szego_candidate,
 )
-from .moser import MoserData, example_data, moser_structure, moser_suite, quantity
+from .moser import (
+    MoserData,
+    example_data,
+    load_reference_series,
+    moser_structure,
+    moser_suite,
+    quantity,
+)
 from .report import has_failure, reports_to_json, reports_to_text
 from .sphere import QuadratureConfig, sphere_suite
 
@@ -76,16 +83,9 @@ def _parse_grid(text: str):
 def _effective_settings(args) -> dict:
     """Config-file values overridden by explicit command line flags."""
     merged = _parse_config_file(args.config) if args.config else {}
-    if args.order is not None:
-        merged["order"] = args.order
-    if args.tol is not None:
-        merged["tol"] = args.tol
-    if args.grid is not None:
-        merged["grid"] = args.grid
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.format is not None:
-        merged["format"] = args.format
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     try:
         if "order" in merged:
             merged["order"] = int(merged["order"])
@@ -155,7 +155,12 @@ def run_command(args) -> int:
         raise UsageError(
             f"--corrupt {args.corrupt} belongs to the {CORRUPT_OWNER[args.corrupt]} suite")
     if args.golden and args.suite not in ("moser", "all"):
-        raise UsageError("--golden only applies to the moser suite")
+        raise UsageError("--golden only applies to the moser and all suites")
+    if args.golden:
+        try:
+            load_reference_series(args.golden)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read golden file: {exc}")
 
     names = ("moser", "heisenberg", "conformal", "sphere") if args.suite == "all" else (args.suite,)
     reports = []
@@ -248,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("suite", choices=SUITES)
     common(runp)
     runp.add_argument("--golden", default=None,
-                      help="alternate reference-series file (moser suite)")
+                      help="alternate reference-series file (moser and all suites)")
     runp.add_argument("--corrupt", choices=tuple(CORRUPT_OWNER), default=None,
                       help="negative-control switches that must produce failures")
     runp.add_argument("--timings", action="store_true",

@@ -271,10 +271,10 @@ class AdaptedCoframe:
 
     __slots__ = ("theta", "theta1", "theta1b", "T", "Z1", "Z1b", "_order")
 
-    def __init__(self, theta, theta1, invert_order=None, theta1b=None):
+    def __init__(self, theta, theta1, invert_order=None):
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "theta1b", theta1b if theta1b is not None else theta1.conj())
+        object.__setattr__(self, "theta1b", theta1.conj())
         object.__setattr__(self, "_order", invert_order)
         M = [
             [self.theta.component(i) for i in range(3)],

@@ -9,9 +9,11 @@ s^2 = zeta zetab.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .expr import RX_ONE, RX_S, ZETA, Atom, LogExpr, RatExpr, log_atom
 from .forms import one_form
-from .gauss import G as GQ
+from .gauss import GR_I, G as GQ
 from .poly import P_ONE, PI, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
 from .series import GradedSeries
@@ -32,7 +34,6 @@ from .structure import (
     torsion_transform,
 )
 
-I = GQ(0, 1)
 HALF = GQ("1/2")
 
 
@@ -47,8 +48,8 @@ class FlatModel:
 
     def __init__(self):
         theta = one_form(
-            cz=rx(Poly.const(I * GQ("-1/2")) * ZB),
-            czb=rx(Poly.const(I * GQ("1/2")) * Z),
+            cz=rx(Poly.const(GR_I * GQ("-1/2")) * ZB),
+            czb=rx(Poly.const(GR_I * GQ("1/2")) * Z),
             cu=rx(HALF),
         )
         object.__setattr__(self, "structure", solve_structure(theta))
@@ -62,20 +63,28 @@ class FlatModel:
         raise AttributeError("FlatModel is immutable")
 
 
-_CACHE = {}
-
-
+@lru_cache(maxsize=1)
 def flat_model() -> FlatModel:
-    if "flat" not in _CACHE:
-        _CACHE["flat"] = FlatModel()
-    return _CACHE["flat"]
+    return FlatModel()
+
+
+@lru_cache(maxsize=1)
+def flat_q2_terms():
+    """P'(log G), P((log G)^2), P(log G) and P3(log G) on the flat model.
+
+    The terms of the flat Q'-transformation identity, computed once: the
+    Szego candidate, the identity and the suite's Q2 block all read them.
+    """
+    fm = flat_model()
+    st, lg = fm.structure, fm.log_green
+    return p_prime(st, lg), paneitz(st, lg * lg, "body"), paneitz(st, lg, "body"), p3_operator(st, lg)
 
 
 def flat_series_structure(order: int):
     """The flat structure with graded-series scalars, for graded-mode tests."""
     theta = one_form(
-        cz=GradedSeries(Poly.const(I * GQ("-1/2")) * ZB, order),
-        czb=GradedSeries(Poly.const(I * GQ("1/2")) * Z, order),
+        cz=GradedSeries(Poly.const(GR_I * GQ("-1/2")) * ZB, order),
+        czb=GradedSeries(Poly.const(GR_I * GQ("1/2")) * Z, order),
         cu=GradedSeries(Poly.const(HALF), order),
     )
     return solve_structure(theta, invert_order=order)
@@ -142,8 +151,7 @@ def flat_torsion_of_hat() -> VerificationReport:
 
 def szego_candidate() -> RatExpr:
     """P'(log G) in closed form; the projection-kernel candidate up to 8 pi^2."""
-    fm = flat_model()
-    val = p_prime(fm.structure, fm.log_green)
+    val = flat_q2_terms()[0]
     r = val.as_rat() if isinstance(val, LogExpr) else val
     if r is None:
         raise RuntimeError("P'(log G) did not collapse to a rational expression")
@@ -159,12 +167,13 @@ def flat_q2_identity() -> VerificationReport:
     fm = flat_model()
     st = fm.structure
     lg = fm.log_green
+    ppr, psq, pu, p3u = flat_q2_terms()
     rhs = (
         q_prime(st)
-        + 2 * p_prime(st, lg)
-        + 2 * paneitz(st, lg * lg, "body")
-        - 4 * (lg * paneitz(st, lg, "body"))
-        - 64 * re_scalar((st.ginv * covariant_derivative(st, lg, "1b")) * p3_operator(st, lg))
+        + 2 * ppr
+        + 2 * psq
+        - 4 * (lg * pu)
+        - 64 * re_scalar((st.ginv * covariant_derivative(st, lg, "1b")) * p3u)
     )
     return check_zero(
         "heisenberg.flat_q2_identity",
@@ -329,11 +338,7 @@ def heisenberg_suite() -> list:
     )
 
     # flat Q2 decomposition terms, individually recorded, then recombined
-    lg = fm.log_green
-    ppr = p_prime(st, lg)
-    psq = paneitz(st, lg * lg, "body")
-    pu = paneitz(st, lg, "body")
-    p3u = p3_operator(st, lg)
+    ppr, psq, pu, p3u = flat_q2_terms()
     out.append(
         check_zero(
             "heisenberg.q2_p3_term",
@@ -369,8 +374,7 @@ def heisenberg_suite() -> list:
         )
 
     # hatted equality case via full re-solve
-    ups = 2 * lg
-    hat = conformal_change(st, ups)
+    hat = conformal_change(st, 2 * fm.log_green)
     out.append(
         check_zero(
             "heisenberg.hat_torsion_resolve",

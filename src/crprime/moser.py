@@ -32,20 +32,18 @@ from importlib import resources
 from random import Random
 
 from .forms import exterior_d, one_form, sc_conj, sc_is_zero, wedge
-from .gauss import G, GaussRational
+from .gauss import GR_I, G, GaussRational
 from .poly import P_ONE, P_ZERO, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
 from .series import GradedSeries
 from .structure import pseudo_einstein_tensor, solve_structure, sublaplacian, verify_structure
 
-_I = G(0, 1)
 _HALF = G(Fraction(1, 2))
 
 # solve budgets: the reference comparisons need every graded block below the
 # cutoff to survive the derivative losses of the pipeline, so the working
 # order sits well above the printed cutoffs
 _SERIES_FLOOR = 13
-_PROBE_FLOOR = 14
 _PATTERN_FLOOR = 15
 
 
@@ -126,7 +124,7 @@ def moser_theta(md: MoserData, order: int) -> "DifferentialForm":
     e = defining_e(md)
     ez, ezb, eu = e.diff("z"), e.diff("zb"), e.diff("u")
     half = Poly.const(_HALF)
-    ipol = Poly.const(_I)
+    ipol = Poly.const(GR_I)
     z, zb = Poly.var("z"), Poly.var("zb")
     cu = half * (P_ONE + eu * eu)
     cz = -(half * (zb - ez) * (eu + ipol))
@@ -148,12 +146,6 @@ class MoserStructure:
     a1up: GradedSeries
 
 
-def _resolve_order(md: MoserData, order, floor=_SERIES_FLOOR) -> int:
-    if order is None:
-        order = max(md.n, floor)
-    return max(order, md.max_weight() + 1)
-
-
 @lru_cache(maxsize=16)
 def _solve(md: MoserData, order: int) -> MoserStructure:
     e = defining_e(md)
@@ -161,22 +153,24 @@ def _solve(md: MoserData, order: int) -> MoserStructure:
     S = lambda p: GradedSeries(p, order)
     theta = moser_theta(md, order)
     # lambda = (zb - E_z)/(-i + E_u) solves theta(d/dz + lambda d/du) = 0
-    lam = S(Poly.var("zb") - e.diff("z")) * S(eu - Poly.const(_I)).invert(order)
+    lam = S(Poly.var("zb") - e.diff("z")) * S(eu - Poly.const(GR_I)).invert(order)
     lamb = lam.conj()
     # a_1 = (-E_uz - lambda E_uu)/(i + E_u)
     euu = eu.diff("u")
-    a1 = (-S(eu.diff("z")) - lam * S(euu)) * S(eu + Poly.const(_I)).invert(order)
+    a1 = (-S(eu.diff("z")) - lam * S(euu)) * S(eu + Poly.const(GR_I)).invert(order)
     # Levi form in the coordinate frame, then a^1 = g^{-1} conj(a_1)
     g0 = S(P_ONE - e.diff("z").diff("zb")) - lam * S(eu.diff("zb")) - lamb * S(eu.diff("z")) - lam * lamb * S(euu)
     a1up = g0.invert(order) * sc_conj(a1)
-    ii = GradedSeries.const(_I, order)
+    ii = GradedSeries.const(GR_I, order)
     hint = one_form(cz=S(P_ONE)) - theta * (ii * a1up)
     struct = solve_structure(theta, theta1_hint=hint, invert_order=order)
     return MoserStructure(md=md, order=order, e=e, struct=struct, lam=lam, a1=a1, a1up=a1up)
 
 
 def moser_structure(md: MoserData, order=None) -> MoserStructure:
-    return _solve(md, _resolve_order(md, order))
+    if order is None:
+        order = max(md.n, _SERIES_FLOOR)
+    return _solve(md, max(order, md.max_weight() + 1))
 
 
 # -- reference expansions ---------------------------------------------------
@@ -189,8 +183,11 @@ def load_reference_series(path=None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
-    if doc.get("version") != 1 or "series" not in doc:
+    if not isinstance(doc, dict) or doc.get("version") != 1 or "series" not in doc:
         raise ValueError("unrecognized reference-expansion file")
+    missing = [key for key in SERIES_KEYS if key not in doc["series"]]
+    if missing:
+        raise ValueError(f"reference-expansion file lacks the series {', '.join(missing)}")
     return doc["series"]
 
 
@@ -236,7 +233,6 @@ def quantity(ms: MoserStructure, key: str) -> GradedSeries:
     raise ValueError(f"unknown expansion key {key!r}")
 
 SERIES_KEYS = ("lambda", "a1", "a1bar", "metric", "torsion", "curvature", "pseudo_einstein")
-PATTERN_KEYS = ("order_pattern", "sublaplacian_pattern")
 
 _ANCHORS = {
     "lambda": "frame coefficient lambda of Z_1 = d/dz + lambda d/du",
@@ -343,25 +339,20 @@ def _block_reports(md: MoserData, which: str, spec: dict) -> list:
     return out
 
 
-def verify_expansion(md: MoserData, which: str, golden_path=None, order=None) -> list:
+def verify_expansion(md: MoserData, which: str, golden_path=None) -> list:
     """Compare one solved quantity against its reference expansion.
 
-    which is one of SERIES_KEYS or PATTERN_KEYS.  Series keys yield an
-    all-weights comparison below the first weight quadratic-in-E terms can
-    reach, then one exact comparison per homogeneous weight block of E
-    (where the reference list is the complete graded block).  Pattern keys
-    yield one report per printed coefficient.
+    which is one of SERIES_KEYS.  The result is an all-weights comparison
+    below the first weight quadratic-in-E terms can reach, then one exact
+    comparison per homogeneous weight block of E (where the reference list
+    is the complete graded block).
     """
-    if which == "order_pattern":
-        return order_pattern_reports(md, order=order)
-    if which == "sublaplacian_pattern":
-        return sublaplacian_pattern_reports(md, order=order)
     table = load_reference_series(golden_path)
     if which not in table:
         raise ValueError(f"no reference series for {which!r}")
     spec = table[which]
     cutoff = min(spec["cutoff"], _FIRST_QUADRATIC[which])
-    ms = moser_structure(md, order)
+    ms = moser_structure(md)
     resid = quantity(ms, which) - reference_series(ms.e, spec, ms.order)
     ok = resid.certifies_O(cutoff) is True
     jet = resid.poly.truncate(cutoff)
@@ -387,11 +378,13 @@ def pe_consistency_probe(md: MoserData, golden_path=None) -> VerificationReport:
     The reference list is linear in E, so quadratic remainder terms enter
     the difference first (weight 5 for generic data); from weight 8 the
     opposite-sign z^2 E_uuu torsion contribution enters as well.  The jet of
-    the difference through weight 8 is recorded, not asserted.
+    the difference through weight 8 is recorded, not asserted.  It comes from
+    the series solve that verify_expansion uses, whose pseudo-Einstein
+    tensor is tracked to order 9 at least.
     """
     table = load_reference_series(golden_path)
     spec = table["pseudo_einstein"]
-    ms = moser_structure(md, max(_PROBE_FLOOR, md.max_weight() + 2))
+    ms = moser_structure(md)
     resid = quantity(ms, "pseudo_einstein") - reference_series(ms.e, spec, ms.order)
     val = resid.valuation()
     jet = resid.poly.truncate(9)
@@ -415,7 +408,7 @@ def _flat_parts(form, order):
     cz, czb, cu = form.component(0), form.component(1), form.component(2)
     z = GradedSeries(Poly.var("z"), order)
     zb = GradedSeries(Poly.var("zb"), order)
-    ii = GradedSeries.const(_I, order)
+    ii = GradedSeries.const(GR_I, order)
     two = GradedSeries.const(G(2), order)
     t0 = two * cu
     return {"theta0": t0, "dz": cz + ii * zb * cu, "dzb": czb - ii * z * cu}
@@ -463,13 +456,13 @@ def _pattern_line(line_id, series, printed, anchor) -> VerificationReport:
     )
 
 
-def order_pattern_reports(md: MoserData, order=None) -> list:
+def order_pattern_reports(md: MoserData) -> list:
     """Flat-coframe vanishing orders of the solved structure near the origin."""
-    ms = moser_structure(md, order)
+    ms = moser_structure(md)
     st = ms.struct
     o = ms.order
     one = GradedSeries(P_ONE, o)
-    izb = GradedSeries(Poly.monomial(_I, 0, 1), o)
+    izb = GradedSeries(Poly.monomial(GR_I, 0, 1), o)
     th = _flat_parts(st.theta, o)
     th1 = _flat_parts(st.theta1, o)
     om = _flat_parts(st.omega, o)
@@ -494,14 +487,14 @@ def order_pattern_reports(md: MoserData, order=None) -> list:
     return reports
 
 
-def sublaplacian_pattern_reports(md: MoserData, order=None) -> list:
+def sublaplacian_pattern_reports(md: MoserData) -> list:
     """Coefficients of the sublaplacian relative to the flat model operator.
 
     Writing Delta_b = h * Delta_b0 + h_uu d_u^2 + h_u d_u + h_uz (Z_10 d_u)
     + h_uzb (Z_1b0 d_u) + h_z Z_10 + h_zb Z_1b0, the coefficients are
     recovered by applying the solved operator to coordinate monomials.
     """
-    ms = moser_structure(md, order if order is not None else max(_PATTERN_FLOOR, md.max_weight() + 3))
+    ms = moser_structure(md, max(_PATTERN_FLOOR, md.max_weight() + 3))
     st = ms.struct
     o = ms.order
     S = lambda p: GradedSeries(p, o)
@@ -515,8 +508,8 @@ def sublaplacian_pattern_reports(md: MoserData, order=None) -> list:
     no_dz2 = D(z * z) - S(Poly.monomial(G(2), 1, 0, 0)) * cz
     no_dzb2 = D(zb * zb) - S(Poly.monomial(G(2), 0, 1, 0)) * czb
     h = czzb * GradedSeries.const(_HALF, o)
-    iz = S(Poly.monomial(_I, 1, 0))
-    izb = S(Poly.monomial(_I, 0, 1))
+    iz = S(Poly.monomial(GR_I, 1, 0))
+    izb = S(Poly.monomial(GR_I, 0, 1))
     two = GradedSeries.const(G(2), o)
     h_uz = czu + two * iz * h
     h_uzb = czbu - two * izb * h
@@ -540,13 +533,13 @@ def sublaplacian_pattern_reports(md: MoserData, order=None) -> list:
 # -- display identities ------------------------------------------------------
 
 
-def display_identity_reports(md: MoserData, order=None) -> list:
+def display_identity_reports(md: MoserData) -> list:
     """Exact identities tying the solved structure to its closed-form pieces."""
-    ms = moser_structure(md, order)
+    ms = moser_structure(md)
     st = ms.struct
     o = ms.order
     S = lambda p: GradedSeries(p, o)
-    ii = GradedSeries.const(_I, o)
+    ii = GradedSeries.const(GR_I, o)
     a1 = ms.a1
     a1b = sc_conj(a1)
     a1up = ms.a1up
@@ -607,14 +600,14 @@ def _restrict_axis(p: Poly) -> Poly:
     return Poly({e: c for e, c in p.coeffs() if e[0] == 0 and e[1] == 0})
 
 
-def chain_check(md: MoserData, order=None) -> VerificationReport:
+def chain_check(md: MoserData) -> VerificationReport:
     """The pseudo-Einstein tensor restricted to the curve z = zb = 0.
 
     For data in the normal family the curve is a chain and the restriction
     vanishes; perturbations that leave the family may legitimately report a
     nonzero restriction.
     """
-    ms = moser_structure(md, order)
+    ms = moser_structure(md)
     pe = pseudo_einstein_tensor(ms.struct)
     resid = GradedSeries(_restrict_axis(pe.poly), pe.order)
     return check_zero(
@@ -667,11 +660,11 @@ def fefferman_J(md: MoserData, order=None, scale=1, scale_cubed=1) -> GradedSeri
     # on-surface entries; w-derivatives act through u = Re w, so d/dw = (1/2) d/du on E
     m00 = P_ZERO
     m01 = c * (ezb - z)
-    m02 = c * half * (eu + Poly.const(_I))
+    m02 = c * half * (eu + Poly.const(GR_I))
     m10 = c * (ez - zb)
     m11 = c * (ez.diff("zb") - P_ONE)
     m12 = c * half * ez.diff("u")
-    m20 = c * half * (eu - Poly.const(_I))
+    m20 = c * half * (eu - Poly.const(GR_I))
     m21 = c * half * ezb.diff("u")
     m22 = c * quarter * eu.diff("u")
     det = (

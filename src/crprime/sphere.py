@@ -28,9 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import Atom, LogExpr, RatExpr, log_atom
+from .expr import SIGMA, Atom, LogExpr, RatExpr, log_atom
 from .forms import exterior_d, one_form, sc_diff, sc_is_zero, wedge
-from .gauss import G, GaussRational, rat
+from .gauss import GR_I, G, GaussRational, rat
 from .heisenberg import flat_model, rx
 from .poly import P_ONE, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded
@@ -45,12 +45,8 @@ from .structure import (
     torsion_transform,
 )
 
-I = G(0, 1)
-
 # (1 + z zb)^2 + u^2 = D Db for D = 1 + z zb - iu; never vanishes on the chart
 CHART_DENOMINATOR = (P_ONE + Z * ZB) * (P_ONE + Z * ZB) + U * U
-
-SIGMA = (Z * ZB) * (Z * ZB) + U * U  # s^2
 
 SIXTEEN_PI_SQ = 16 * math.pi**2
 
@@ -82,8 +78,8 @@ def chart_volume_density(theta):
 def _standard_flat_structure():
     # du - i zb dz + i z dzb: same contact plane, Levi factor 2, density 4
     theta = one_form(
-        cz=rx(Poly.const(-I) * ZB),
-        czb=rx(Poly.const(I) * Z),
+        cz=rx(Poly.const(-GR_I) * ZB),
+        czb=rx(Poly.const(GR_I) * Z),
         cu=rx(P_ONE),
     )
     return solve_structure(theta)
@@ -394,9 +390,9 @@ def probe_report(ci: ChartIntegrand, check_id: str, n=10, seed=0) -> Verificatio
     )
 
 
-def decay_report(ci: ChartIntegrand, check_id: str, radii=(8.0, 16.0, 32.0),
-                 min_exponent=4.5) -> VerificationReport:
-    """Shell-max decay exponent between consecutive radii must exceed min_exponent."""
+def decay_report(ci: ChartIntegrand, check_id: str) -> VerificationReport:
+    """Shell-max decay exponent between consecutive radii 8, 16, 32 must reach 4.5."""
+    radii = (8.0, 16.0, 32.0)
     psi = np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, 9)
     phi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     PSI, PHI = np.meshgrid(psi, phi, indexing="ij")
@@ -414,7 +410,7 @@ def decay_report(ci: ChartIntegrand, check_id: str, radii=(8.0, 16.0, 32.0),
     worst = min(slopes)
     return check_true(
         check_id,
-        worst >= min_exponent,
+        worst >= 4.5,
         worst,
         "derived",
         "integrand decays fast enough for the improper chart integral",
@@ -518,7 +514,7 @@ def qprime_volume_integrand(scale=1) -> ChartIntegrand:
     return compile_integrand(e, label="qprime_volume")
 
 
-def total_q_prime(config: QuadratureConfig = None, rotation=0.0, scale=1):
+def total_q_prime(config: QuadratureConfig = None):
     """The integral of Q' over the sphere, with a halved-node error estimate.
 
     Returns (value, err) with err = max(|value - halved|, 64 eps |value|),
@@ -529,19 +525,19 @@ def total_q_prime(config: QuadratureConfig = None, rotation=0.0, scale=1):
     or when there is no estimate because config.halved() is config itself.
     """
     config = config or QuadratureConfig()
-    value, err, failure = _total(qprime_volume_integrand(scale), config, rotation)
+    value, err, failure = _total(qprime_volume_integrand(), config)
     if failure:
         raise ArithmeticError(f"quadrature did not converge: {failure}")
     return value, err
 
 
-def _total(ci: ChartIntegrand, config: QuadratureConfig, rotation=0.0):
+def _total(ci: ChartIntegrand, config: QuadratureConfig):
     """(value, err, why the total did not converge or None) for ci on the chart."""
-    value = integrate_chart(ci, config, rotation=rotation)
+    value = integrate_chart(ci, config)
     if config.halved() == config:
         # every node count is at the floor of 4: value - halved measures nothing
         return value, math.inf, "estimate missing, as the halved grid equals the grid"
-    halved = integrate_chart(ci, config.halved(), rotation=rotation)
+    halved = integrate_chart(ci, config.halved())
     err = max(abs(value - halved), 64 * np.finfo(float).eps * abs(value))
     if err > config.tol * max(abs(value), 1.0):
         return value, err, f"estimate {err:.3e} over budget {config.tol:.1e}"
@@ -588,7 +584,7 @@ def integral_reports(config: QuadratureConfig = None, seed=0) -> list:
         detail=f"estimate {err:.3e}",
     ))
 
-    # the same totals as total_q_prime, without its halved-grid estimates
+    # the scaled and rotated totals, without halved-grid estimates
     twice = integrate_chart(qprime_volume_integrand(2), config)
     out.append(check_true(
         "sphere.integral.linearity",
@@ -614,25 +610,24 @@ def integral_reports(config: QuadratureConfig = None, seed=0) -> list:
 
 
 def _frac(c):
-    # centers and radii come in as ints, Fractions, or (num, den) pairs
+    # centers come in as ints, Fractions, or (num, den) pairs
     return rat(*c) if isinstance(c, tuple) else rat(c)
 
 
-def bump_profile(k: int, radius=1, center=(0, 0, 0)) -> Poly:
-    """(1 - q/radius^4)^k with q the parabolic gauge centered at center.
+def bump_profile(k: int, center=(0, 0, 0)) -> Poly:
+    """(1 - q)^k with q the parabolic gauge centered at center.
 
     Exact rational coefficients; vanishes to order k on the anisotropic
-    sphere rho = radius around the center, value 1 at the center.
+    unit sphere rho = 1 around the center, value 1 at the center.
     """
     if k < 1:
         raise ValueError("profile exponent must be at least 1")
     xc, yc, uc = (G(_frac(c)) for c in center)
-    zc = Poly.const(xc + yc * I)
-    zbc = Poly.const(xc - yc * I)
+    zc = Poly.const(xc + yc * GR_I)
+    zbc = Poly.const(xc - yc * GR_I)
     m = (Z - zc) * (ZB - zbc)
     du = U - Poly.const(uc)
-    rq = G(_frac(radius))
-    q = (m * m + du * du) * Poly.const((rq * rq * rq * rq).inverse())
+    q = m * m + du * du
     b = P_ONE
     base = P_ONE - q
     for _ in range(k):
@@ -640,10 +635,10 @@ def bump_profile(k: int, radius=1, center=(0, 0, 0)) -> Poly:
     return b
 
 
-def delta_normalization(profile=4, radius=1, center=(0, 0, 0),
+def delta_normalization(profile=4, center=(0, 0, 0),
                         config: QuadratureConfig = None,
                         normalization="chart") -> float:
-    """Numerical integral of G (L bump) against theta wedge dtheta.
+    """Numerical integral of G (L bump) against theta wedge dtheta over the unit ball.
 
     normalization picks the contact form: "chart" is the flat model form with
     unit density; "standard" is du - i zb dz + i z dz b with density 4.  The
@@ -661,11 +656,11 @@ def delta_normalization(profile=4, radius=1, center=(0, 0, 0),
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    bump = bump_profile(profile, radius=radius, center=center)
+    bump = bump_profile(profile, center=center)
     e = fm.green * cr_laplacian(struct, rx(bump)) * dens
     ci = compile_integrand(e, label=f"delta_bump_{profile}", singular_exponent=2)
     fcenter = tuple(float(_frac(c)) for c in center)
-    return integrate_ball(ci, config, float(_frac(radius)), center=fcenter)
+    return integrate_ball(ci, config, 1.0, center=fcenter)
 
 
 def delta_reports(config: QuadratureConfig = None) -> list:

@@ -33,10 +33,9 @@ from .forms import (
     sc_is_zero,
     wedge,
 )
-from .gauss import G
+from .gauss import GR_I, G
 from .series import GradedSeries
 
-I = G(0, 1)
 HALF = G("1/2")
 
 
@@ -136,7 +135,7 @@ def solve_structure(theta, theta1_hint=None, invert_order=None):
 def verify_structure(struct) -> list:
     """Named residuals of the four defining equations, all zero for a valid solve."""
     s = struct
-    ig = s.g * I
+    ig = s.g * GR_I
     res1 = exterior_d(s.theta) - ig * wedge(s.theta1, s.theta1b)
 
     res2 = (
@@ -253,7 +252,7 @@ def p3_operator(struct, f):
     """
     t3 = covariant_derivative(struct, f, "1b11")
     t1 = covariant_derivative(struct, f, "1b")
-    return struct.ginv * t3 + I * (sc_conj(struct.A) * t1)
+    return struct.ginv * t3 + GR_I * (sc_conj(struct.A) * t1)
 
 
 def paneitz(struct, f, convention="body"):
@@ -291,7 +290,7 @@ def pseudo_einstein_tensor(struct):
     r1 = covariant_derivative(struct, struct.R, "1")
     abar = sc_conj(struct.A)  # A^{1b}_1: upper 1b, lower 1
     stepped, _ = _cov_step(struct, abar, (1, 0, 0, 1), "1b")
-    return r1 - I * stepped
+    return r1 - GR_I * stepped
 
 
 # -- conformal change --------------------------------------------------------
@@ -324,7 +323,7 @@ def conformal_change(struct, ups):
         br = b.as_rat()
         if br is not None:
             b = br
-    hint = struct.theta1 + (I * b) * struct.theta
+    hint = struct.theta1 + (GR_I * b) * struct.theta
     return solve_structure(theta_hat, theta1_hint=hint, invert_order=struct.invert_order)
 
 
@@ -342,7 +341,7 @@ def torsion_transform(struct, ups):
     a11 = struct.g * sc_conj(struct.A)
     u1 = covariant_derivative(struct, ups, "1")
     u11 = covariant_derivative(struct, ups, "11")
-    ahat11 = finv * (a11 + I * u11 - I * (u1 * u1))
+    ahat11 = finv * (a11 + GR_I * u11 - GR_I * (u1 * u1))
     return struct.ginv * sc_conj(ahat11)
 
 

@@ -102,9 +102,10 @@ def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(capsys, mon
             super().__init__()
 
     monkeypatch.setattr(heisenberg, "FlatModel", CountingFlatModel)
-    monkeypatch.setattr(heisenberg, "_CACHE", {})
+    heisenberg.flat_model.cache_clear()
     code, out, err = run_cli(capsys, "run", "all", "--format", "json",
                              "--grid", FAST_GRID, "--timings")
+    heisenberg.flat_model.cache_clear()
     assert code == 0
     assert len(built) == 1
     assert [line.split(":")[0] for line in err.splitlines()] == [
@@ -182,6 +183,34 @@ def test_tampered_golden_file_fails(capsys, tmp_path):
 def test_golden_flag_must_match_suite(capsys):
     code, _, _ = run_cli(capsys, "run", "sphere", "--golden", "whatever.json")
     assert code == 2
+
+
+GOLDEN_DEFECTS = {
+    "missing": "No such file",
+    "not_json": "Expecting property name",
+    "version_2": "unrecognized",
+    "no_torsion": "lacks the series torsion",
+}
+
+
+@pytest.mark.parametrize("suite", ["moser", "all"])
+@pytest.mark.parametrize("defect", sorted(GOLDEN_DEFECTS))
+def test_unreadable_golden_file_is_a_usage_error(capsys, tmp_path, suite, defect):
+    from importlib import resources
+
+    doc = json.loads(resources.files("crprime").joinpath("data/expansions.json").read_text())
+    path = tmp_path / "golden.json"
+    if defect == "not_json":
+        path.write_text("{not json")
+    elif defect == "version_2":
+        path.write_text(json.dumps({**doc, "version": 2}))
+    elif defect == "no_torsion":
+        del doc["series"]["torsion"]
+        path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", suite, "--golden", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read golden file: ")
+    assert GOLDEN_DEFECTS[defect] in err
 
 
 # -- config files -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 
+from crprime import heisenberg
 from crprime.expr import ZETA, log_atom, random_probe
 from crprime.forms import sc_is_zero
 from crprime.gauss import G
@@ -83,3 +84,20 @@ def test_series_flat_structure():
     assert sc_is_zero(st.A)
     for name, val in verify_structure(st):
         assert sc_is_zero(val), name
+
+
+def test_suite_and_named_operations_evaluate_p_prime_of_log_green_once(monkeypatch):
+    calls = []
+    p_prime = heisenberg.p_prime
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return p_prime(*args, **kwargs)
+
+    monkeypatch.setattr(heisenberg, "p_prime", counted)
+    heisenberg.flat_q2_terms.cache_clear()
+    heisenberg_suite()
+    szego_candidate()
+    flat_q2_identity()
+    heisenberg.flat_q2_terms.cache_clear()
+    assert len(calls) == 1

@@ -22,6 +22,7 @@ from crprime.moser import (
     moser_theta,
     order_pattern_reports,
     pe_consistency_probe,
+    quantity,
     random_data,
     sublaplacian_pattern_reports,
     u_poly,
@@ -291,8 +292,9 @@ def test_low_weight_corruption_fails_suite(md):
 
 
 def test_suite_solves_each_structure_once(monkeypatch):
-    # the example at its own order, the probe, the pattern order, and one
-    # solve per weight block of E (6, 8, 10, 12) shared by every key
+    # the example at its own order (shared by the series checks and the
+    # probe), the pattern order, and one solve per weight block of E
+    # (6, 8, 10, 12) shared by every key
     calls = []
     solve = moser.solve_structure
 
@@ -303,4 +305,13 @@ def test_suite_solves_each_structure_once(monkeypatch):
     monkeypatch.setattr(moser, "solve_structure", counted)
     moser._solve.cache_clear()
     moser_suite(example_data())
-    assert len(calls) == 7, calls
+    assert len(calls) == 6, calls
+
+
+@pytest.mark.parametrize("data", ["example", "moser-weight4"])
+def test_series_solve_tracks_the_pseudo_einstein_tensor_through_weight_8(md, data):
+    # the probe records the jet of the pseudo-Einstein difference through
+    # weight 8 from the series solve, so that solve must reach order 9
+    if data == "moser-weight4":
+        md = MoserData(c42=md.c42, c33=md.c33, extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
+    assert quantity(moser_structure(md), "pseudo_einstein").order >= 9
