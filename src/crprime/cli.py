@@ -129,7 +129,7 @@ def _suite_reports(name, settings, golden=None, corrupt=None) -> list:
     seed = settings.get("seed", 0)
     if name == "moser":
         md = _corrupted_moser_data() if corrupt == "moser-weight4" else None
-        return moser_suite(md, golden_path=golden)
+        return moser_suite(md, table=golden)
     if name == "heisenberg":
         reports = heisenberg_suite()
         if corrupt == "green-power":
@@ -156,9 +156,10 @@ def run_command(args) -> int:
             f"--corrupt {args.corrupt} belongs to the {CORRUPT_OWNER[args.corrupt]} suite")
     if args.golden and args.suite not in ("moser", "all"):
         raise UsageError("--golden only applies to the moser and all suites")
+    golden = None
     if args.golden:
         try:
-            load_reference_series(args.golden)
+            golden = load_reference_series(args.golden)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read golden file: {exc}")
 
@@ -167,7 +168,7 @@ def run_command(args) -> int:
     timings = {}
     for name in names:
         start = time.monotonic()
-        reports += _suite_reports(name, settings, golden=args.golden, corrupt=args.corrupt)
+        reports += _suite_reports(name, settings, golden=golden, corrupt=args.corrupt)
         timings[name] = time.monotonic() - start
     if args.timings:
         for name in names:

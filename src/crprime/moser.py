@@ -339,15 +339,17 @@ def _block_reports(md: MoserData, which: str, spec: dict) -> list:
     return out
 
 
-def verify_expansion(md: MoserData, which: str, golden_path=None) -> list:
+def verify_expansion(md: MoserData, which: str, table=None) -> list:
     """Compare one solved quantity against its reference expansion.
 
-    which is one of SERIES_KEYS.  The result is an all-weights comparison
-    below the first weight quadratic-in-E terms can reach, then one exact
-    comparison per homogeneous weight block of E (where the reference list
-    is the complete graded block).
+    which is one of SERIES_KEYS and table a parsed reference-expansion file
+    (load_reference_series; None loads the packaged one).  The result is an
+    all-weights comparison below the first weight quadratic-in-E terms can
+    reach, then one exact comparison per homogeneous weight block of E (where
+    the reference list is the complete graded block).
     """
-    table = load_reference_series(golden_path)
+    if table is None:
+        table = load_reference_series()
     if which not in table:
         raise ValueError(f"no reference series for {which!r}")
     spec = table[which]
@@ -372,7 +374,7 @@ def verify_expansion(md: MoserData, which: str, golden_path=None) -> list:
     return reports
 
 
-def pe_consistency_probe(md: MoserData, golden_path=None) -> VerificationReport:
+def pe_consistency_probe(md: MoserData, table=None) -> VerificationReport:
     """Record where the full pseudo-Einstein series leaves its reference list.
 
     The reference list is linear in E, so quadratic remainder terms enter
@@ -380,9 +382,10 @@ def pe_consistency_probe(md: MoserData, golden_path=None) -> VerificationReport:
     opposite-sign z^2 E_uuu torsion contribution enters as well.  The jet of
     the difference through weight 8 is recorded, not asserted.  It comes from
     the series solve that verify_expansion uses, whose pseudo-Einstein
-    tensor is tracked to order 9 at least.
+    tensor is tracked to order 9 at least.  table is as in verify_expansion.
     """
-    table = load_reference_series(golden_path)
+    if table is None:
+        table = load_reference_series()
     spec = table["pseudo_einstein"]
     ms = moser_structure(md)
     resid = quantity(ms, "pseudo_einstein") - reference_series(ms.e, spec, ms.order)
@@ -728,14 +731,17 @@ def random_data(seed, degree=2) -> MoserData:
     return MoserData(c42=c42, c33=c33)
 
 
-def moser_suite(md: MoserData = None, golden_path=None) -> list:
+def moser_suite(md: MoserData = None, table=None) -> list:
+    """Every moser check; table is the reference-expansion table, parsed once."""
     if md is None:
         md = example_data()
+    if table is None:
+        table = load_reference_series()
     reports = []
     reports += display_identity_reports(md)
     for key in SERIES_KEYS:
-        reports += verify_expansion(md, key, golden_path=golden_path)
-    reports.append(pe_consistency_probe(md, golden_path=golden_path))
+        reports += verify_expansion(md, key, table=table)
+    reports.append(pe_consistency_probe(md, table=table))
     reports += order_pattern_reports(md)
     reports += sublaplacian_pattern_reports(md)
     reports.append(chain_check(md))

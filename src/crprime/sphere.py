@@ -16,7 +16,10 @@ and rounding to nearest, never shows.  The shell loop passes u, which does
 not depend on the rotation angle, as one column: its powers are taken once
 per angular row, then written into full-grid complex tables.  The powers of
 zb are the conjugates of those of z: conjugation commutes exactly with IEEE
-complex products, up to the sign of a zero.
+complex products, up to the sign of a zero.  An integrand compiled with a
+center is first rewritten exactly about it, as a polynomial in z - zc,
+zb - zbc and u - uc, and its tables are the powers of those differences;
+without a center the differences are exact and every float is as above.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expr import SIGMA, Atom, LogExpr, RatExpr, log_atom
-from .forms import exterior_d, one_form, sc_diff, sc_is_zero, wedge
+from .forms import one_form, sc_diff, sc_is_zero
 from .gauss import GR_I, G, GaussRational, rat
 from .heisenberg import flat_model, rx
-from .poly import P_ONE, U, Z, ZB, Poly
+from .poly import P_ONE, P_ZERO, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded
 from .structure import (
     conformal_change,
@@ -66,12 +69,6 @@ def chart_upsilon() -> LogExpr:
 def sphere_structure_in_chart():
     """Exact pseudohermitian structure of the round sphere in the rational chart."""
     return conformal_change(flat_model().structure, chart_upsilon())
-
-
-def chart_volume_density(theta):
-    """Density of theta wedge dtheta against dx dy du (dz^dzb = -2i dx^dy)."""
-    vol = wedge(theta, exterior_d(theta))
-    return vol.component(0, 1, 2) * rx(Poly.const(G(0, -2)))
 
 
 @lru_cache(maxsize=1)
@@ -278,14 +275,59 @@ def _poly_eval_grid(terms, t, tables):
     return tot
 
 
+def _frac(c):
+    # centers come in as ints, Fractions, or (num, den) pairs
+    return rat(*c) if isinstance(c, tuple) else rat(c)
+
+
+def _taylor_shift(polys, zc, uc):
+    """Each p(z, zb, u, pi) as the exact polynomial p(w + zc, wb + zbc, v + uc, pi).
+
+    One variable at a time, p is grouped by its exponent k in that variable
+    and each group multiplied by (var + shift)^k; those powers are cached
+    once for all of polys.  A zero shift leaves its variable alone, so a zero
+    center returns polys unchanged.
+    """
+    zero = G(0)
+    shifts = (zc, zc.conj(), uc)
+    forms = [Poly.var(v) + Poly.const(c) for v, c in zip(("z", "zb", "u"), shifts)]
+    powers = [[P_ONE] for _ in forms]
+
+    def power(slot, k):
+        cache = powers[slot]
+        while len(cache) <= k:
+            cache.append(cache[-1] * forms[slot])
+        return cache[k]
+
+    out = []
+    for p in polys:
+        for slot, c in enumerate(shifts):
+            if c == zero:
+                continue
+            groups = {}
+            for ex, coeff in p.coeffs():
+                rest = list(ex)
+                rest[slot] = 0
+                groups.setdefault(ex[slot], {})[tuple(rest)] = coeff
+            p = P_ZERO
+            for k, terms in groups.items():
+                p = p + power(slot, k) * Poly(terms)
+        out.append(p)
+    return out
+
+
 def compile_integrand(e, label="integrand", singular_exponent=None,
-                      origin_in_domain=True) -> ChartIntegrand:
+                      origin_in_domain=True, center=(0, 0, 0)) -> ChartIntegrand:
     """Compile an exact scalar to a vectorized function of (x, y, u).
 
     A denominator factor vanishing at the origin is a pole on the domain: it
     must be declared through singular_exponent (and be integrable, k < 4)
     unless origin_in_domain is False.  Poles away from the origin are the
     caller's responsibility, per the pole-free precondition.
+
+    center (exact, as in bump_profile) is the point the polynomials are
+    expanded about, which keeps the terms few and free of cancellation near
+    it; fn still takes absolute (x, y, u), and exact keeps e as given.
     """
     if isinstance(e, Poly):
         e = rx(e)
@@ -303,10 +345,14 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
             raise ValueError(f"{label}: declared singularity rho^-{singular_exponent} "
                              "is not integrable against the shell measure")
 
+    cx, cy, cu = (_frac(c) for c in center)
+    na, nb, *den = _taylor_shift((e.na, e.nb, *e.den), G(cx, cy), G(cu))
+    xc, yc, uc = float(cx), float(cy), float(cu)
+
     # the powers (slot, k), k > 0, of z, zb, u, pi (slots 0-3) in any factor;
     # each term keeps c and the indices of its powers, in slot order; c and
     # pi^k are 0-d arrays, which numpy would otherwise build on every call
-    powers = sorted({(slot, k) for p in (e.na, e.nb, *e.den) for ex, _ in p.coeffs()
+    powers = sorted({(slot, k) for p in (na, nb, *den) for ex, _ in p.coeffs()
                      for slot, k in enumerate(ex) if k})
     where = {pw: i for i, pw in enumerate(powers)}
     z_exps = {k for slot, k in powers if slot < 2}
@@ -315,15 +361,18 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
         return [(np.array(complex(c.re, c.im)), [where[pw] for pw in enumerate(ex) if pw[1]])
                 for ex, c in p.coeffs()]
 
-    na_terms, nb_terms = terms(e.na), terms(e.nb)
-    den_terms = [(terms(f), k) for f, k in e.den.items()]
+    na_terms, nb_terms = terms(na), terms(nb)
+    den_terms = [(terms(f), k) for f, k in zip(den, e.den.values())]
 
     def fn(x, y, u, pi_value=math.pi):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         u = np.asarray(u, dtype=float)
-        z = x + 1j * y
         s = np.sqrt((x * x + y * y) ** 2 + u * u)
+        # the tables are powers of z - zc and u - uc; at center 0 the
+        # differences are exact, and asarray keeps 0-d inputs on the ufuncs
+        x, y, u = (np.asarray(a - c) for a, c in ((x, xc), (y, yc), (u, uc)))
+        z = x + 1j * y
         shape = np.broadcast(z, u).shape
         zp = {k: z**k for k in z_exps}
         # conj(z^k) is zb^k up to the sign of a zero; u^k is taken on u as
@@ -609,11 +658,6 @@ def integral_reports(config: QuadratureConfig = None, seed=0) -> list:
 # -- delta normalization of the flat Green's function -------------------------
 
 
-def _frac(c):
-    # centers come in as ints, Fractions, or (num, den) pairs
-    return rat(*c) if isinstance(c, tuple) else rat(c)
-
-
 def bump_profile(k: int, center=(0, 0, 0)) -> Poly:
     """(1 - q)^k with q the parabolic gauge centered at center.
 
@@ -658,7 +702,8 @@ def delta_normalization(profile=4, center=(0, 0, 0),
 
     bump = bump_profile(profile, center=center)
     e = fm.green * cr_laplacian(struct, rx(bump)) * dens
-    ci = compile_integrand(e, label=f"delta_bump_{profile}", singular_exponent=2)
+    ci = compile_integrand(e, label=f"delta_bump_{profile}", singular_exponent=2,
+                           center=center)
     fcenter = tuple(float(_frac(c)) for c in center)
     return integrate_ball(ci, config, 1.0, center=fcenter)
 

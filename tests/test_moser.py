@@ -165,9 +165,39 @@ def test_tampered_reference_file_fails(md, tmp_path):
     doc["series"]["curvature"]["terms"][0]["coeff"] = [7, 1, 0, 1]
     p = tmp_path / "tampered.json"
     p.write_text(json.dumps(doc))
-    reps = verify_expansion(md, "curvature", golden_path=str(p))
+    reps = verify_expansion(md, "curvature", table=load_reference_series(str(p)))
     fails = {r.check_id for r in reps if r.status == "fail"}
     assert fails == {"moser.series.curvature.w10", "moser.series.curvature.w12"}
+
+
+def counting_loads(monkeypatch, *modules):
+    """Count the parses of reference-expansion files, through every alias."""
+    paths = []
+
+    def counting(path=None):
+        paths.append(path)
+        return load_reference_series(path)
+
+    for module in modules:
+        monkeypatch.setattr(module, "load_reference_series", counting)
+    return paths
+
+
+def test_moser_suite_parses_the_reference_file_once(monkeypatch):
+    paths = counting_loads(monkeypatch, moser)
+    moser_suite(example_data())
+    assert paths == [None]
+
+
+def test_run_moser_golden_parses_the_golden_file_once(monkeypatch, tmp_path, capsys):
+    from crprime import cli
+
+    golden = tmp_path / "golden.json"
+    golden.write_text(resources.files("crprime").joinpath("data/expansions.json").read_text())
+    paths = counting_loads(monkeypatch, moser, cli)
+    assert cli.main(["run", "moser", "--golden", str(golden), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert paths == [str(golden)]
 
 
 def test_unknown_reference_file_rejected(tmp_path):

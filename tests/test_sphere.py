@@ -1,6 +1,7 @@
 """Sphere chart: exact structure checks, compiled quadrature, delta constant."""
 
 import math
+import types
 import typing
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from crprime import sphere
 from crprime.expr import LogExpr, RatExpr
-from crprime.forms import sc_is_zero
+from crprime.forms import exterior_d, sc_is_zero, wedge
 from crprime.gauss import G, rat
 from crprime.heisenberg import flat_model, rx
 from crprime.poly import P_ONE, Poly
@@ -21,7 +22,6 @@ from crprime.sphere import (
     bump_profile,
     chart_factor,
     chart_upsilon,
-    chart_volume_density,
     compile_integrand,
     decay_report,
     delta_normalization,
@@ -33,7 +33,10 @@ from crprime.sphere import (
     sphere_structure_in_chart,
     sphere_suite,
     total_q_prime,
+    _frac,
     _gauss,
+    _standard_flat_structure,
+    _taylor_shift,
 )
 from crprime.structure import (
     cr_laplacian,
@@ -87,9 +90,16 @@ def test_chart_factor_is_green_squared_up_to_the_denominator_ratio():
     assert sc_is_zero(lhs - rhs)
 
 
+def chart_volume_density(theta):
+    """Density of theta wedge dtheta against dx dy du (dz^dzb = -2i dx^dy)."""
+    vol = wedge(theta, exterior_d(theta))
+    return vol.component(0, 1, 2) * rx(Poly.const(G(0, -2)))
+
+
 def test_chart_volume_density_is_one_and_four():
     fm = flat_model()
     assert sc_is_zero(chart_volume_density(fm.structure.theta) - 1)
+    assert sc_is_zero(chart_volume_density(_standard_flat_structure().theta) - 4)
 
 
 # -- quadrature config ----------------------------------------------------------
@@ -161,12 +171,17 @@ def test_qprime_integrand_probes_and_decays():
     assert float(dec.residual) > 7.5  # closed form falls off like rho^-8
 
 
-def reference_fn(e, x, y, u, pi_value=math.pi):
-    """The compiled integrand with every power taken afresh for every term."""
+def reference_fn(e, x, y, u, pi_value=math.pi, s=None):
+    """The compiled integrand with every power taken afresh for every term.
+
+    s defaults to the gauge of (x, y, u); a centered integrand passes the
+    differences from its center as (x, y, u) and the absolute gauge as s.
+    """
     x, y, u = (np.asarray(a, dtype=float) for a in (x, y, u))
     z = x + 1j * y
     zb = np.conjugate(z)
-    s = np.sqrt((x * x + y * y) ** 2 + u * u)
+    if s is None:
+        s = np.sqrt((x * x + y * y) ** 2 + u * u)
 
     def ev(p):
         tot = np.zeros(np.broadcast(z, u).shape, dtype=complex)
@@ -237,6 +252,88 @@ def test_terms_with_exponent_zero_factors_leave_every_float_unchanged():
         got = fn(*args)
         assert got.shape == np.broadcast(*args).shape
         assert np.array_equal(got, reference_fn(e, *args)), args
+
+
+# centers as bump_profile takes them: real, complex, and complex with a u offset
+CENTERS = (((3, 2), 0, 0), ((3, 2), (-1, 4), 0), ((1, 2), (-3, 4), (5, 8)))
+
+
+def _exact_center(center):
+    xc, yc, uc = (_frac(c) for c in center)
+    return G(xc, yc), G(uc)
+
+
+def _delta_integrand(center):
+    fm = flat_model()
+    bump = bump_profile(5, center=center)
+    return fm.green * cr_laplacian(fm.structure, rx(bump))
+
+
+@pytest.mark.parametrize("center", CENTERS)
+def test_taylor_shift_is_exact(center):
+    e = _delta_integrand(center)
+    polys = (e.nb, *e.den, CHART_DENOMINATOR * Poly.monomial(G(2, -1), epi=3))
+    zc, uc = _exact_center(center)
+    shifted = _taylor_shift(polys, zc, uc)
+    # zb is an independent variable here, not the conjugate of z
+    w, wb, v = G(rat(2, 3), rat(-1, 5)), G(rat(-7, 4), rat(1, 2)), G(rat(3, 11))
+    at_w = {"z": w, "zb": wb, "u": v, "pi": G(rat(355, 113))}
+    at_z = {"z": w + zc, "zb": wb + zc.conj(), "u": v + uc, "pi": at_w["pi"]}
+    for p, q in zip(polys, shifted):
+        assert q.eval(at_w) == p.eval(at_z)
+    if center == ((3, 2), 0, 0):
+        # the off-center delta numerator and denominator about the ball center
+        assert [len(q.terms) for q in shifted[:2]] == [80, 10]
+        assert len(e.nb.terms) == 360
+    assert _taylor_shift(polys, G(0), G(0)) == list(polys)
+
+
+@pytest.mark.parametrize("center", CENTERS)
+def test_centered_compile_is_the_reference_on_the_shifted_polynomials(center):
+    e = _delta_integrand(center)
+    ci = compile_integrand(e, singular_exponent=2, center=center)
+    assert ci.exact is e
+    zc, uc = _exact_center(center)
+    na, nb, *den = _taylor_shift((e.na, e.nb, *e.den), zc, uc)
+    shifted = types.SimpleNamespace(na=na, nb=nb, den=dict(zip(den, e.den.values())))
+    xc, yc, uc = float(zc.re), float(zc.im), float(uc.re)
+
+    def want(x, y, u, pi_value=math.pi):
+        x, y, u = (np.asarray(a, dtype=float) for a in (x, y, u))
+        s = np.sqrt((x * x + y * y) ** 2 + u * u)
+        return reference_fn(shifted, x - xc, y - yc, u - uc, pi_value=pi_value, s=s)
+
+    # one shell of the ball around the center, with u as one column
+    psi = (np.pi / 2) * _gauss(40)[0]
+    PSI, PHI = np.meshgrid(psi, 2 * np.pi * np.arange(16) / 16, indexing="ij")
+    r = 0.7 * np.sqrt(np.cos(PSI))
+    shell = (xc + r * np.cos(PHI), yc + r * np.sin(PHI), uc + 0.49 * np.sin(PSI))
+    column = shell[:2] + (shell[2][:, :1],)
+    # where numpy's array power and its float64 scalar power differ (as with
+    # AVX-512), u^k taken on a scalar instead of a 0-d array changes the value
+    # at (0.5, -1.5, 0.7367346938775511) about the center (3/2, 0, 0)
+    for args in (shell, column, (0.5, -1.5, uc + 0.7367346938775511), (xc, yc, uc)):
+        for pi_value in (math.pi, 25 / 8):
+            got = ci.fn(*args, pi_value=pi_value)
+            assert got.shape == np.broadcast(*args).shape
+            assert np.array_equal(got, want(*args, pi_value=pi_value)), (args, pi_value)
+
+
+@pytest.mark.parametrize("center", CENTERS)
+def test_centered_compile_matches_the_unshifted_exact_expression(center):
+    ci = compile_integrand(_delta_integrand(center), singular_exponent=2, center=center)
+    rep = probe_report(ci, "probe.centered", n=10, seed=5)
+    assert rep.status == "pass"
+    assert float(rep.residual) <= 1e-12
+
+
+def test_centered_compile_keeps_the_origin_singularity_test():
+    # the shifted denominator does not vanish at 0, the original one does
+    green = flat_model().green
+    with pytest.raises(ValueError, match="undeclared"):
+        compile_integrand(green, center=((3, 2), 0, 0))
+    ci = compile_integrand(green, origin_in_domain=False, center=((3, 2), 0, 0))
+    assert abs(complex(ci.fn(1.0, 0.0, 0.0)) - 1 / (2 * math.pi)) < 1e-15
 
 
 def reference_shell_sum(ci, rho, wrho, config, center=(0.0, 0.0, 0.0), rotation=0.0):
@@ -392,6 +489,8 @@ def test_delta_profiles_agree():
 def test_delta_off_center_bump_integrates_to_zero():
     v = delta_normalization(profile=5, center=((3, 2), 0, 0))
     assert abs(v) < 1e-3
+    # compiled about the ball center, the integrand loses no digits near it
+    assert abs(v) < 1e-7
 
 
 def test_delta_reports_pass():
