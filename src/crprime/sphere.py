@@ -206,26 +206,22 @@ def equality_reports() -> list:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and scales for the chart quadrature.
+    """Node counts and the error budget for the chart quadrature.
 
-    radius sets the scale of the compactifying radial map rho = radius*t/(1-t)
-    for improper integrals; node counts below 4 make the Gauss rules degenerate.
+    Node counts below 4 make the Gauss rules degenerate.
     """
 
     n_radial: int = 96
     n_angular: int = 40
     n_azimuthal: int = 16
-    radius: float = 1.0
     tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("n_radial", "n_angular", "n_azimuthal"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be at least 4")
-        for name in ("radius", "tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
 
     def halved(self) -> "QuadratureConfig":
         return replace(
@@ -482,17 +478,24 @@ def _legendre(n, x):
 def _gauss(n):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], accurate to a few eps.
 
-    numpy's leggauss misses the low moments sum(w t^2k) by tens of eps (about
-    100 eps at n = 192), which moves the sphere total by up to 50 eps and
-    breaks the node-doubling check against the 64 eps floor.  So its nodes are
-    only a starting guess: three Newton steps on the three-term recurrence
-    polish them, and the weights 2 / ((1 - x^2) P_n'(x)^2) are computed at the
-    final nodes.  The rule comes back read-only, since it is cached per n.
+    The positive nodes start from Tricomi's asymptotic guess
+    x_k = (1 - (n-1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2)), k = 1..n/2, and five
+    Newton steps on the three-term recurrence polish them (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, 2013).  The negative nodes are their mirror
+    images, with an exact 0 in the middle for odd n, so the rule is exactly
+    symmetric.  The weights 2 / ((1 - x^2) P_n'(x)^2) are computed at the final
+    nodes.  Only elementwise ufuncs run: numpy's own Gauss-Legendre routine
+    starts from a LAPACK eigensolve, which wakes the BLAS worker threads for a
+    mere starting guess, and its nodes miss the low moments sum(w t^2k) by
+    tens of eps, enough to break the node-doubling check.  The rule comes back
+    read-only, since it is cached per n.
     """
-    x, _ = np.polynomial.legendre.leggauss(n)
-    for _ in range(3):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
+    k = np.arange(1, n // 2 + 1)
+    half = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(5):
+        p, dp = _legendre(n, half)
+        half = half - p / dp
+    x = np.concatenate((-half, [0.0] * (n % 2), half[::-1]))
     _, dp = _legendre(n, x)
     w = 2 / ((1 - x * x) * dp * dp)
     x.flags.writeable = False
@@ -534,21 +537,21 @@ def _shell_sum(ci: ChartIntegrand, rho, wrho, config: QuadratureConfig,
 
 def integrate_chart(ci: ChartIntegrand, config: QuadratureConfig,
                     rotation=0.0) -> float:
-    """Improper integral over the whole chart via rho = radius*t/(1-t)."""
+    """Improper integral over the whole chart via rho = t/(1-t)."""
     t, w = _gauss(config.n_radial)
     tt = (t + 1) / 2
     wt = w / 2
-    rho = config.radius * tt / (1 - tt)
-    wrho = config.radius * wt / (1 - tt) ** 2
+    rho = tt / (1 - tt)
+    wrho = wt / (1 - tt) ** 2
     return _shell_sum(ci, rho, wrho, config, rotation=rotation)
 
 
-def integrate_ball(ci: ChartIntegrand, config: QuadratureConfig, radius,
+def integrate_ball(ci: ChartIntegrand, config: QuadratureConfig,
                    center=(0.0, 0.0, 0.0)) -> float:
-    """Integral over the anisotropic ball rho <= radius around center."""
+    """Integral over the anisotropic unit ball rho <= 1 around center."""
     t, w = _gauss(config.n_radial)
-    rho = radius * (t + 1) / 2
-    wrho = radius * w / 2
+    rho = (t + 1) / 2
+    wrho = w / 2
     return _shell_sum(ci, rho, wrho, config, center=center)
 
 
@@ -563,25 +566,14 @@ def qprime_volume_integrand(scale=1) -> ChartIntegrand:
     return compile_integrand(e, label="qprime_volume")
 
 
-def total_q_prime(config: QuadratureConfig = None):
-    """The integral of Q' over the sphere, with a halved-node error estimate.
-
-    Returns (value, err) with err = max(|value - halved|, 64 eps |value|),
-    where halved is the same integral on config.halved().  The floor keeps
-    err honest once the two grids agree to rounding; the node-doubling check
-    in integral_reports holds the doubled-grid total to within this err.
-    Raises ArithmeticError when err is over the budget tol * max(|value|, 1),
-    or when there is no estimate because config.halved() is config itself.
-    """
-    config = config or QuadratureConfig()
-    value, err, failure = _total(qprime_volume_integrand(), config)
-    if failure:
-        raise ArithmeticError(f"quadrature did not converge: {failure}")
-    return value, err
-
-
 def _total(ci: ChartIntegrand, config: QuadratureConfig):
-    """(value, err, why the total did not converge or None) for ci on the chart."""
+    """(value, err, why the total did not converge or None) for ci on the chart.
+
+    err = max(|value - halved|, 64 eps |value|), where halved is the same
+    integral on config.halved().  The floor keeps err honest once the two
+    grids agree to rounding.  The total fails when err is over the budget
+    tol * max(|value|, 1), or when config.halved() is config itself.
+    """
     value = integrate_chart(ci, config)
     if config.halved() == config:
         # every node count is at the floor of 4: value - halved measures nothing
@@ -606,7 +598,7 @@ def integral_reports(config: QuadratureConfig = None, seed=0) -> list:
     green = compile_integrand(fm.green, label="green", origin_in_domain=False)
     out.append(probe_report(green, "sphere.compile.probe_green", seed=seed + 1))
 
-    # as total_q_prime(config), but a missed budget becomes a failed check
+    # a total that misses its budget or has no estimate becomes a failed check
     value, err, failure = _total(ci, config)
     rel = abs(value - SIXTEEN_PI_SQ) / SIXTEEN_PI_SQ
     out.append(check_true(
@@ -705,7 +697,7 @@ def delta_normalization(profile=4, center=(0, 0, 0),
     ci = compile_integrand(e, label=f"delta_bump_{profile}", singular_exponent=2,
                            center=center)
     fcenter = tuple(float(_frac(c)) for c in center)
-    return integrate_ball(ci, config, 1.0, center=fcenter)
+    return integrate_ball(ci, config, center=fcenter)
 
 
 def delta_reports(config: QuadratureConfig = None) -> list:

@@ -37,7 +37,8 @@ from crprime.sphere import (
     QuadratureConfig,
     SIXTEEN_PI_SQ,
     delta_reports,
-    total_q_prime,
+    qprime_volume_integrand,
+    _total,
 )
 from crprime.structure import (
     conformal_change,
@@ -155,9 +156,12 @@ def test_07_conformal_qprime_law_battery():
 def test_08_sphere_integral_is_sixteen_pi_squared():
     start = time.monotonic()
     config = QuadratureConfig()
-    value, err = total_q_prime(config)
+    ci = qprime_volume_integrand()
+    value, err, failure = _total(ci, config)
+    assert failure is None, failure
     assert abs(value - SIXTEEN_PI_SQ) / SIXTEEN_PI_SQ <= 1e-6
-    dense, _ = total_q_prime(config.doubled())
+    dense, _, failure = _total(ci, config.doubled())
+    assert failure is None, failure
     assert abs(dense - value) <= err
     assert time.monotonic() - start < 60.0
 

@@ -1,9 +1,13 @@
 """Sphere chart: exact structure checks, compiled quadrature, delta constant."""
 
 import math
+import os
+import subprocess
+import sys
 import types
 import typing
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +36,11 @@ from crprime.sphere import (
     qprime_volume_integrand,
     sphere_structure_in_chart,
     sphere_suite,
-    total_q_prime,
     _frac,
     _gauss,
     _standard_flat_structure,
     _taylor_shift,
+    _total,
 )
 from crprime.structure import (
     cr_laplacian,
@@ -111,14 +115,10 @@ def test_config_rejects_degenerate_grids():
     with pytest.raises(ValueError):
         QuadratureConfig(n_angular=0)
     with pytest.raises(ValueError):
-        QuadratureConfig(radius=0.0)
-    with pytest.raises(ValueError):
         QuadratureConfig(tol=0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             QuadratureConfig(tol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureConfig(radius=bad)
 
 
 def test_config_halving_floors_at_four():
@@ -375,7 +375,7 @@ def test_chart_and_ball_integrals_match_the_full_grid_reference():
         ci = compile_integrand(fm.green * cr_laplacian(fm.structure, rx(bump)),
                                singular_exponent=2)
         want = reference_shell_sum(ci, (t + 1) / 2, w / 2, config, center=center)
-        assert integrate_ball(ci, config, 1.0, center=center) == want, center
+        assert integrate_ball(ci, config, center=center) == want, center
 
 
 def test_integral_reports_integrate_the_halved_grid_once(monkeypatch):
@@ -396,18 +396,77 @@ def test_integral_reports_integrate_the_halved_grid_once(monkeypatch):
     assert len(configs) == 5
 
 
-# -- the total integral ----------------------------------------------------------
+# -- Gauss-Legendre rules --------------------------------------------------------
+
+# the rules of the halved, default and doubled grids and of the tests above,
+# the floor of 4 and an odd size
+RULE_SIZES = (4, 5, 8, 20, 40, 48, 80, 96, 192)
+
+
+def test_gauss_rules_call_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gauss rule called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    _gauss.cache_clear()
+    try:
+        for n in RULE_SIZES:
+            _gauss(n)
+    finally:
+        _gauss.cache_clear()
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_rule_is_ascending_symmetric_and_positive(n):
+    x, w = _gauss(n)
+    assert len(x) == len(w) == n
+    assert -1 < x[0] and x[-1] < 1 and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0 and math.copysign(1, x[n // 2]) == 1
+    assert np.all(w > 0)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_gauss_rules_do_not_depend_on_numpy_cpu_dispatch():
+    # NPY_DISABLE_CPU_FEATURES acts only on the process that reads it; on a
+    # machine without AVX-512 these settings change nothing
+    script = (
+        "import sys\n"
+        "from crprime.sphere import _gauss\n"
+        f"for n in {RULE_SIZES!r}:\n"
+        "    x, w = _gauss(n)\n"
+        "    sys.stdout.buffer.write(x.tobytes() + w.tobytes())\n"
+    )
+    src = str(Path(sphere.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = {}
+    for disabled in ("", "AVX512_SPR AVX512_ICL X86_V4",
+                     "AVX512_SPR AVX512_ICL X86_V4 X86_V3"):
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, check=not disabled)
+        if proc.returncode:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={disabled!r}: "
+                        f"{proc.stderr.decode(errors='replace')}")
+        outputs[disabled] = proc.stdout
+    assert len(outputs[""]) == 2 * 8 * sum(RULE_SIZES)
+    assert len(set(outputs.values())) == 1
 
 
 def test_gauss_rules_integrate_low_even_moments_to_a_few_eps():
-    # every rule the halved, default and doubled grids use, summed exactly;
-    # an error of tens of eps here shows up as a node-doubling failure
+    # every rule the halved, default and doubled grids use, and odd, small and
+    # large ones, summed exactly; tens of eps here fail the node-doubling check
     config = QuadratureConfig()
     sizes = {
         n
         for c in (config.halved(), config, config.doubled())
         for n in (c.n_radial, c.n_angular)
-    }
+    } | {4, 5, 7, 33, 384}
     eps = np.finfo(float).eps
     for n in sorted(sizes):
         t, w = _gauss(n)
@@ -415,6 +474,21 @@ def test_gauss_rules_integrate_low_even_moments_to_a_few_eps():
             exact = Fraction(2, 2 * k + 1)
             total = sum(Fraction(wi) * Fraction(ti) ** (2 * k) for ti, wi in zip(t, w))
             assert abs(total - exact) / exact <= 8 * eps, (n, k)
+
+
+# -- the total integral ----------------------------------------------------------
+
+
+def total_q_prime(config: QuadratureConfig = None):
+    """The integral of Q' over the sphere and its halved-node error estimate.
+
+    Raises ArithmeticError where integral_reports fails sphere.integral.total
+    for want of convergence.
+    """
+    value, err, failure = _total(qprime_volume_integrand(), config or QuadratureConfig())
+    if failure:
+        raise ArithmeticError(f"quadrature did not converge: {failure}")
+    return value, err
 
 
 def test_total_q_prime_hits_sixteen_pi_squared():
@@ -506,7 +580,7 @@ def test_integrate_ball_volume():
     # dx dy du over the anisotropic ball equals 2*pi * int rho^3 [drho] * pi
     # = pi^2/2; check against the closed form.
     one = compile_integrand(P_ONE, label="one")
-    v = integrate_ball(one, QuadratureConfig(), 1.0)
+    v = integrate_ball(one, QuadratureConfig())
     assert abs(v - math.pi**2 / 2) < 1e-12
 
 
