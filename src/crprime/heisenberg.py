@@ -77,7 +77,7 @@ def flat_q2_terms():
     """
     fm = flat_model()
     st, lg = fm.structure, fm.log_green
-    return p_prime(st, lg), paneitz(st, lg * lg, "body"), paneitz(st, lg, "body"), p3_operator(st, lg)
+    return p_prime(st, lg), paneitz(st, lg * lg), paneitz(st, lg), p3_operator(st, lg)
 
 
 def flat_series_structure(order: int):

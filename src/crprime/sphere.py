@@ -25,10 +25,13 @@ without a center the differences are exact and every float is as above.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
+# the float stage makes no BLAS call, so a BLAS worker pool would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .expr import SIGMA, Atom, LogExpr, RatExpr, log_atom
@@ -177,7 +180,7 @@ def equality_reports() -> list:
     ))
 
     p3 = p3_operator(hat, ups)
-    p4 = paneitz(hat, ups, "body")
+    p4 = paneitz(hat, ups)
     both = sc_is_zero(p3) and sc_is_zero(p4)
     out.append(check_true(
         "sphere.equality.paneitz_term",

@@ -255,17 +255,9 @@ def p3_operator(struct, f):
     return struct.ginv * t3 + GR_I * (sc_conj(struct.A) * t1)
 
 
-def paneitz(struct, f, convention="body"):
-    if convention == "body":
-        return 4 * _raised_divergence(struct, p3_operator(struct, f))
-    if convention != "intro":
-        raise ValueError("convention must be 'intro' or 'body'")
-    lap2 = sublaplacian(struct, sublaplacian(struct, f))
-    t2 = struct.T.apply(struct.T.apply(f))
-    a11 = struct.g * sc_conj(struct.A)
-    inner = a11 * (struct.ginv * covariant_derivative(struct, f, "1b"))
-    div = _raised_divergence(struct, inner)
-    return lap2 + t2 - 4 * im_scalar(div)
+def paneitz(struct, f):
+    """P f = 4 grad^1 (P3 f)_1, with the index raised by g."""
+    return 4 * _raised_divergence(struct, p3_operator(struct, f))
 
 
 def p_prime(struct, f):
@@ -359,7 +351,7 @@ def qprime_conformal_rhs(struct, ups):
     return (
         q_prime(struct)
         + p_prime(struct, ups)
-        + HALF * paneitz(struct, ups * ups, "body")
+        + HALF * paneitz(struct, ups * ups)
         - ups * (4 * _raised_divergence(struct, p3))
         - 16 * re_scalar(grad_pair)
     )

@@ -138,7 +138,7 @@ def test_06_flat_transformation_identity_closure():
     expected = rx(Poly.const(G(16)) * ((Z * ZB) ** 2 - U * U)) / (rx(sigma) * rx(sigma))
     assert sc_is_zero(szego - expected)
     assert sc_is_zero(p3_operator(st, szego))
-    assert sc_is_zero(p_prime(st, lg) + paneitz(st, lg * lg, "body"))
+    assert sc_is_zero(p_prime(st, lg) + paneitz(st, lg * lg))
 
 
 def test_07_conformal_qprime_law_battery():

@@ -1,6 +1,7 @@
 """Driver behavior: exit codes, determinism, config handling, negative controls."""
 
 import json
+import re
 
 import pytest
 
@@ -109,10 +110,20 @@ def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(capsys, mon
     assert code == 0
     assert len(built) == 1
     assert [line.split(":")[0] for line in err.splitlines()] == [
-        "moser", "heisenberg", "conformal", "sphere"]
+        "setup", "moser", "heisenberg", "conformal", "sphere"]
     ids = [c["check_id"] for c in json.loads(out)["checks"]]
     assert len(ids) == len(set(ids))
     assert ids.count("conformal.graded_qprime") == 1
+
+
+def test_timings_go_to_stderr_as_setup_cpu_and_suite_wall_and_cpu(capsys):
+    code, plain, err = run_cli(capsys, "run", "heisenberg", "--format", "json")
+    assert code == 0 and err == ""
+    code, timed, err = run_cli(capsys, "run", "heisenberg", "--format", "json", "--timings")
+    assert code == 0 and timed == plain
+    setup, suite = err.splitlines()
+    assert re.fullmatch(r"setup: cpu \d+\.\d\ds", setup)
+    assert re.fullmatch(r"heisenberg: wall \d+\.\d\ds, cpu \d+\.\d\ds", suite)
 
 
 def test_run_conformal_rejects_low_order(capsys):

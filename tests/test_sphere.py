@@ -429,6 +429,56 @@ def test_gauss_rule_is_ascending_symmetric_and_positive(n):
     assert not x.flags.writeable and not w.flags.writeable
 
 
+def _child_env(openblas_threads=None):
+    """os.environ with crprime importable and OPENBLAS_NUM_THREADS as given."""
+    src = str(Path(sphere.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    # this process may carry the variable already, set by importing crprime.sphere
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+def _blas_probe(openblas_threads):
+    """OPENBLAS_NUM_THREADS and the thread count of a child that imported crprime.cli."""
+    script = (
+        "import os\n"
+        "import crprime.cli\n"
+        "tasks = '/proc/self/task'\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(openblas_threads),
+                          capture_output=True, text=True, check=True)
+    value, threads = proc.stdout.split()
+    return value, int(threads)
+
+
+def test_importing_the_cli_starts_no_blas_worker_thread():
+    value, threads = _blas_probe(None)
+    assert value == "1"
+    if not threads:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == 1
+
+
+def test_a_blas_thread_count_already_set_is_kept():
+    value, _ = _blas_probe("2")
+    assert value == "2"
+
+
+def test_sphere_report_does_not_depend_on_the_blas_pool():
+    outputs = set()
+    for openblas_threads in (None, "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "crprime", "run", "sphere", "--format", "json"],
+            env=_child_env(openblas_threads), capture_output=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_gauss_rules_do_not_depend_on_numpy_cpu_dispatch():
     # NPY_DISABLE_CPU_FEATURES acts only on the process that reads it; on a
     # machine without AVX-512 these settings change nothing
@@ -439,9 +489,7 @@ def test_gauss_rules_do_not_depend_on_numpy_cpu_dispatch():
         "    x, w = _gauss(n)\n"
         "    sys.stdout.buffer.write(x.tobytes() + w.tobytes())\n"
     )
-    src = str(Path(sphere.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _child_env()
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     outputs = {}
     for disabled in ("", "AVX512_SPR AVX512_ICL X86_V4",
