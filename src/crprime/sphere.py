@@ -7,27 +7,24 @@ exactly (4 / (D Db)) theta, so the chart conformal factor is rational and the
 whole structure stays inside the exact layer.  Only the final integrals are
 floating point: anisotropic shells adapted to the parabolic dilations, Gauss
 rules in the radial and vertical angles, trapezoid in the rotation angle.
-Each call of a compiled integrand tabulates the powers of z, zb, u and pi
-once per shell and shares them between all its monomials; each term is c
-times its factors z^a, zb^b, u^c, pi^d, multiplied in that order in one
-reused buffer.  A factor with exponent 0 is 1 + 0j and is skipped: it could
-only change the sign of a zero, which the sum of the terms, starting at +0
-and rounding to nearest, never shows.  The shell loop passes u, which does
-not depend on the rotation angle, as one column: its powers are taken once
-per angular row, then written into full-grid complex tables.  The powers of
-zb are the conjugates of those of z: conjugation commutes exactly with IEEE
-complex products, up to the sign of a zero.  An integrand compiled with a
-center is first rewritten exactly about it, as a polynomial in z - zc,
-zb - zbc and u - uc, and its tables are the powers of those differences;
-without a center the differences are exact and every float is as above.
+A compiled integrand runs in real float64 arithmetic only: + - * /, sqrt and
+integer powers as fixed chains of products, each step correctly rounded, so
+its floats do not depend on which SIMD kernels numpy picks.  Its polynomials
+are real, so their terms pair up by z-monomial: z^a zb^b and its conjugate
+partner make m^b Re(C z^(a-b)), with m = z zb and C a polynomial in u and pi
+taken on u as the quadrature passes it, one column per shell.  An integrand
+compiled with a center is first rewritten exactly about it, as a polynomial
+in z - zc, zb - zbc and u - uc.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Optional
 
 # the float stage makes no BLAS call, so a BLAS worker pool would only spin
@@ -226,21 +223,15 @@ class QuadratureConfig:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
 
+    def _nodes(self, f) -> "QuadratureConfig":
+        return replace(self, **{name: f(getattr(self, name))
+                                for name in ("n_radial", "n_angular", "n_azimuthal")})
+
     def halved(self) -> "QuadratureConfig":
-        return replace(
-            self,
-            n_radial=max(4, self.n_radial // 2),
-            n_angular=max(4, self.n_angular // 2),
-            n_azimuthal=max(4, self.n_azimuthal // 2),
-        )
+        return self._nodes(lambda n: max(4, n // 2))
 
     def doubled(self) -> "QuadratureConfig":
-        return replace(
-            self,
-            n_radial=2 * self.n_radial,
-            n_angular=2 * self.n_angular,
-            n_azimuthal=2 * self.n_azimuthal,
-        )
+        return self._nodes(lambda n: 2 * n)
 
 
 @dataclass(frozen=True)
@@ -248,30 +239,16 @@ class ChartIntegrand:
     """An exact scalar compiled for the chart quadrature.
 
     The integrand must already include every density factor: the quadrature
-    integrates fn against dx dy du.  singular_exponent is the declared growth
-    rate rho^-k at the origin in the parabolic norm, None for pole-free.
+    integrates fn against dx dy du.  fn(x, y, u, pi_value=math.pi) returns
+    float64 of shape np.broadcast(x, y, u).shape, summed as in _real_groups.
+    singular_exponent is the declared growth rate rho^-k at the origin in
+    the parabolic norm, None for pole-free.
     """
 
     label: str
     exact: RatExpr
     fn: Callable
     singular_exponent: Optional[int] = None
-
-
-def _poly_eval_grid(terms, t, tables):
-    # each term is c times its factors z^a, zb^b, u^c, pi^d with a nonzero
-    # exponent (indices into tables), multiplied left to right in the buffer t;
-    # direct ufunc calls with a positional out cost less than t *= f, tot += t
-    tot = np.zeros_like(t)
-    for c, factors in terms:
-        if factors:
-            np.multiply(c, tables[factors[0]], t)
-            for f in factors[1:]:
-                np.multiply(t, tables[f], t)
-        else:
-            t.fill(c)
-        np.add(tot, t, tot)
-    return tot
 
 
 def _frac(c):
@@ -290,13 +267,10 @@ def _taylor_shift(polys, zc, uc):
     zero = G(0)
     shifts = (zc, zc.conj(), uc)
     forms = [Poly.var(v) + Poly.const(c) for v, c in zip(("z", "zb", "u"), shifts)]
-    powers = [[P_ONE] for _ in forms]
 
+    @lru_cache(maxsize=None)
     def power(slot, k):
-        cache = powers[slot]
-        while len(cache) <= k:
-            cache.append(cache[-1] * forms[slot])
-        return cache[k]
+        return power(slot, k - 1) * forms[slot] if k else P_ONE
 
     out = []
     for p in polys:
@@ -313,6 +287,60 @@ def _taylor_shift(polys, zc, uc):
                 p = p + power(slot, k) * Poly(terms)
         out.append(p)
     return out
+
+
+def _real_groups(p: Poly, pi_value):
+    """A real p as [(j, k, parts)] in sorted order: the value of p at zb = conj(z).
+
+    For a >= b the monomial z^a zb^b and its conjugate partner add up to
+    m^b Re(C z^(a-b)), with m = z zb and C the sum of w pi^d u^c over the
+    terms of that monomial, w the coefficient (twice it when a > b).
+    Re(C z^k) = Re(C) Re(z^k) + (-Im C) Im(z^k), so parts pairs t = 0 (Re z^k)
+    and t = 1 (Im z^k) with that part of C as [(c, sum_d w pi^d)], in
+    ascending c and d; a part whose weights are all zero is left out.
+    """
+    groups = {}
+    for (a, b, c, d), coef in p.coeffs():
+        if a >= b:
+            w = coef * 2 if a > b else coef
+            parts = groups.setdefault((b, a - b), ({}, {}))
+            for part, x in zip(parts, (w.re, -w.im)):
+                if x:
+                    part.setdefault(c, []).append((d, float(x)))
+    pp = _powers(pi_value, max((ex[3] for ex in p.terms), default=0))
+    return [(j, k, [(t, [(c, sum(w * pp[d] for d, w in sorted(ws)))
+                         for c, ws in sorted(part.items())])
+                    for t, part in enumerate(parts) if part])
+            for (j, k), parts in sorted(groups.items())]
+
+
+def _powers(base, n):
+    """[1.0, base, ..., base^n], each power the one before it times base."""
+    out = [1.0, base][:n + 1]
+    for _ in range(n - 1):
+        out.append(out[-1] * base)
+    return out
+
+
+def _z_powers(x, y, n):
+    """[(Re z^k, Im z^k) for k <= n], each the one before it times z = x + iy."""
+    out = [(1.0, 0.0), (x, y)][:n + 1]
+    for _ in range(n - 1):
+        re, im = out[-1]
+        out.append((re * x - im * y, re * y + im * x))
+    return out
+
+
+def _eval_groups(groups, shape, mp, zp, up):
+    """The groups of _real_groups summed from +0 in order, on shape, given the
+    powers mp, zp and up of m, z and u: each part of C summed in ascending c
+    times its Re or Im z^k, and the sum of the parts times m^j."""
+    tot = np.zeros(shape)
+    for j, k, parts in groups:
+        v = reduce(add, (reduce(add, (a * up[c] for c, a in cols)) * zp[k][t]
+                         for t, cols in parts))
+        np.add(tot, v * mp[j] if j else v, tot)
+    return tot
 
 
 def compile_integrand(e, label="integrand", singular_exponent=None,
@@ -346,48 +374,33 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
 
     cx, cy, cu = (_frac(c) for c in center)
     na, nb, *den = _taylor_shift((e.na, e.nb, *e.den), G(cx, cy), G(cu))
+    if any(p != p.conj() for p in (na, nb, *den)):
+        raise ValueError(f"{label}: a polynomial is not real, so its chart value is complex")
     xc, yc, uc = float(cx), float(cy), float(cu)
 
-    # the powers (slot, k), k > 0, of z, zb, u, pi (slots 0-3) in any factor;
-    # each term keeps c and the indices of its powers, in slot order; c and
-    # pi^k are 0-d arrays, which numpy would otherwise build on every call
-    powers = sorted({(slot, k) for p in (na, nb, *den) for ex, _ in p.coeffs()
-                     for slot, k in enumerate(ex) if k})
-    where = {pw: i for i, pw in enumerate(powers)}
-    z_exps = {k for slot, k in powers if slot < 2}
+    jmax, kmax, cmax = map(max, zip((0, 0, 0), *(
+        (min(a, b), abs(a - b), c) for p in (na, nb, *den) for a, b, c, _ in p.terms)))
 
-    def terms(p: Poly):
-        return [(np.array(complex(c.re, c.im)), [where[pw] for pw in enumerate(ex) if pw[1]])
-                for ex, c in p.coeffs()]
-
-    na_terms, nb_terms = terms(na), terms(nb)
-    den_terms = [(terms(f), k) for f, k in zip(den, e.den.values())]
+    @lru_cache(maxsize=4)
+    def groups(pi_value):
+        return [_real_groups(p, pi_value) for p in (na, nb, *den)]
 
     def fn(x, y, u, pi_value=math.pi):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        u = np.asarray(u, dtype=float)
-        s = np.sqrt((x * x + y * y) ** 2 + u * u)
-        # the tables are powers of z - zc and u - uc; at center 0 the
-        # differences are exact, and asarray keeps 0-d inputs on the ufuncs
-        x, y, u = (np.asarray(a - c) for a, c in ((x, xc), (y, yc), (u, uc)))
-        z = x + 1j * y
-        shape = np.broadcast(z, u).shape
-        zp = {k: z**k for k in z_exps}
-        # conj(z^k) is zb^k up to the sign of a zero; u^k is taken on u as
-        # given (one column per shell), then spread to a full complex table
-        make = {0: zp.get, 1: lambda k: np.conjugate(zp[k]),
-                2: lambda k: np.full(shape, u**k, dtype=complex),
-                3: lambda k: np.array(pi_value**k, dtype=complex)}
-        tables = [make[slot](k) for slot, k in powers]
-        t = np.empty(shape, dtype=complex)
-        num = _poly_eval_grid(na_terms, t, tables)
-        if nb_terms:
-            num = num + _poly_eval_grid(nb_terms, t, tables) * s
-        den = np.ones_like(num)
-        for f_terms, k in den_terms:
-            den = den * _poly_eval_grid(f_terms, t, tables) ** k
-        return num / den
+        na_groups, nb_groups, *den_groups = groups(pi_value)
+        x, y, u = (np.asarray(a, dtype=float) for a in (x, y, u))
+        shape = np.broadcast(x, y, u).shape
+        m = r2 = x * x + y * y
+        if xc or yc:
+            # the groups take the differences from the center
+            x, y = x - xc, y - yc
+            m = x * x + y * y
+        tables = (_powers(m, jmax), _z_powers(x, y, kmax), _powers(u - uc if uc else u, cmax))
+        num = _eval_groups(na_groups, shape, *tables)
+        if nb_groups:
+            np.add(num, _eval_groups(nb_groups, shape, *tables) * np.sqrt(r2 * r2 + u * u), num)
+        for f_groups, k in zip(den_groups, e.den.values()):
+            np.divide(num, _powers(_eval_groups(f_groups, shape, *tables), k)[k], num)
+        return num
 
     return ChartIntegrand(label=label, exact=e,
                           fn=fn, singular_exponent=singular_exponent)
@@ -416,17 +429,15 @@ def _dyadic_probe(rng):
 
 def probe_report(ci: ChartIntegrand, check_id: str, n=10, seed=0) -> VerificationReport:
     """Compiled-vs-exact agreement at n exact rational points."""
-    import random
-
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(n):
         point, s_val = _dyadic_probe(rng)
         exact = ci.exact.eval(point, s_val)
         ev = complex(float(exact.re), float(exact.im))
-        cv = complex(ci.fn(float(point["z"].re), float(point["z"].im),
-                           float(point["u"].re), pi_value=25 / 8))
-        err = abs(cv - ev) if ev == 0 else abs(cv - ev) / abs(ev)
+        cv = float(ci.fn(float(point["z"].re), float(point["z"].im),
+                         float(point["u"].re), pi_value=25 / 8))
+        err = abs(cv - ev) / (abs(ev) or 1)
         worst = max(worst, err)
     return check_true(
         check_id,
@@ -451,11 +462,8 @@ def decay_report(ci: ChartIntegrand, check_id: str) -> VerificationReport:
         y = r * np.sin(PHI)
         u = rho**2 * np.sin(PSI)
         maxima.append(float(np.max(np.abs(ci.fn(x, y, u)))))
-    slopes = [
-        math.log(maxima[i] / maxima[i + 1]) / math.log(radii[i + 1] / radii[i])
-        for i in range(len(radii) - 1)
-    ]
-    worst = min(slopes)
+    worst = min(math.log(maxima[i] / maxima[i + 1]) / math.log(radii[i + 1] / radii[i])
+                for i in range(len(radii) - 1))
     return check_true(
         check_id,
         worst >= 4.5,
@@ -501,8 +509,7 @@ def _gauss(n):
     x = np.concatenate((-half, [0.0] * (n % 2), half[::-1]))
     _, dp = _legendre(n, x)
     w = 2 / ((1 - x * x) * dp * dp)
-    x.flags.writeable = False
-    w.flags.writeable = False
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -514,9 +521,7 @@ def _shell_sum(ci: ChartIntegrand, rho, wrho, config: QuadratureConfig,
     the Jacobian of (rho, psi, phi) -> (x, y, u) against r dr dphi du is
     exactly rho^3 (the cos factors cancel), which keeps the weights smooth.
     """
-    tp, wp = _gauss(config.n_angular)
-    psi = (np.pi / 2) * tp
-    wpsi = (np.pi / 2) * wp
+    psi, wpsi = ((np.pi / 2) * a for a in _gauss(config.n_angular))
     nphi = config.n_azimuthal
     phi = 2 * np.pi * np.arange(nphi) / nphi + rotation
     wphi = 2 * np.pi / nphi
@@ -532,8 +537,7 @@ def _shell_sum(ci: ChartIntegrand, rho, wrho, config: QuadratureConfig,
         x = xc + r * cos_phi
         y = yc + r * sin_phi
         u = uc + rho[i] ** 2 * sin_psi
-        v = ci.fn(x, y, u).real
-        shell = float(np.einsum("ab,a->", v, wpsi)) * wphi
+        shell = float(np.einsum("ab,a->", ci.fn(x, y, u), wpsi)) * wphi
         partials.append(shell * rho[i] ** 3 * wrho[i])
     return math.fsum(partials)
 
@@ -666,12 +670,7 @@ def bump_profile(k: int, center=(0, 0, 0)) -> Poly:
     zbc = Poly.const(xc - yc * GR_I)
     m = (Z - zc) * (ZB - zbc)
     du = U - Poly.const(uc)
-    q = m * m + du * du
-    b = P_ONE
-    base = P_ONE - q
-    for _ in range(k):
-        b = b * base
-    return b
+    return (P_ONE - m * m - du * du) ** k
 
 
 def delta_normalization(profile=4, center=(0, 0, 0),

@@ -171,31 +171,68 @@ def test_qprime_integrand_probes_and_decays():
     assert float(dec.residual) > 7.5  # closed form falls off like rho^-8
 
 
+def _fresh_power(base, k):
+    """base^k as base * base * ... * base, left to right, and 1.0 for k = 0."""
+    out = 1.0
+    for i in range(k):
+        out = base if i == 0 else out * base
+    return out
+
+
+def _fresh_z_power(x, y, k):
+    """(Re z^k, Im z^k) for z = x + iy, one product by z at a time."""
+    re, im = 1.0, 0.0
+    for i in range(k):
+        re, im = (x, y) if i == 0 else (re * x - im * y, re * y + im * x)
+    return re, im
+
+
 def reference_fn(e, x, y, u, pi_value=math.pi, s=None):
-    """The compiled integrand with every power taken afresh for every term.
+    """The compiled integrand's grouped real form, every power taken afresh.
+
+    For a >= b, z^a zb^b and its conjugate partner make m^b Re(C z^(a-b)),
+    with m = x^2 + y^2 and C the sum of w pi^d u^c, w the coefficient (twice
+    it for a > b).  Each group adds Re(C) Re(z^k) + (-Im C) Im(z^k), where a
+    part of C sums (sum of w pi^d over ascending d) u^c over ascending c and
+    skips zero weights; the groups are summed from +0 in (j, k) order, and
+    the denominator factors divide one after the other.
 
     s defaults to the gauge of (x, y, u); a centered integrand passes the
     differences from its center as (x, y, u) and the absolute gauge as s.
     """
     x, y, u = (np.asarray(a, dtype=float) for a in (x, y, u))
-    z = x + 1j * y
-    zb = np.conjugate(z)
+    shape = np.broadcast(x, y, u).shape
+    m = x * x + y * y
     if s is None:
-        s = np.sqrt((x * x + y * y) ** 2 + u * u)
+        s = np.sqrt(m * m + u * u)
 
     def ev(p):
-        tot = np.zeros(np.broadcast(z, u).shape, dtype=complex)
-        for (ez, ezb, eu, epi), c in p.coeffs():
-            tot += complex(c.re, c.im) * z**ez * zb**ezb * u**eu * pi_value**epi
+        groups = {}
+        for (a, b, c, d), coef in p.coeffs():
+            if a >= b:
+                groups.setdefault((b, a - b), []).append((c, d, coef * 2 if a > b else coef))
+        tot = np.zeros(shape)
+        for (j, k), terms in sorted(groups.items()):
+            v = None
+            for part, zk in zip(((lambda w: w.re), (lambda w: -w.im)), _fresh_z_power(x, y, k)):
+                col = None
+                for c in sorted({c for c, _, w in terms if part(w)}):
+                    a = sum(float(part(w)) * _fresh_power(pi_value, d)
+                            for c2, d, w in sorted(terms, key=lambda t: t[:2])
+                            if c2 == c and part(w))
+                    term = a * _fresh_power(u, c)
+                    col = term if col is None else col + term
+                if col is not None:
+                    v = col * zk if v is None else v + col * zk
+            tot = tot + v * _fresh_power(m, j)
         return tot
 
     num = ev(e.na)
     if not e.nb.is_zero():
         num = num + ev(e.nb) * s
-    den = np.ones_like(num)
     for f, k in e.den.items():
-        den = den * ev(f) ** k
-    return num / den
+        num = num / _fresh_power(ev(f), k)
+    return num
 
 
 def test_power_tables_leave_every_float_unchanged():
@@ -208,8 +245,7 @@ def test_power_tables_leave_every_float_unchanged():
         compile_integrand(fm.green, origin_in_domain=False),
     ]
     # one shell of the off-center delta ball, which keeps clear of the pole;
-    # phi = 0 gives a row with y = 0 exactly, where zb^k and the conjugate of
-    # z^k may differ in the sign of a zero
+    # phi = 0 gives a row with y = 0 exactly, where Im z^k is a signed zero
     psi = (np.pi / 2) * _gauss(40)[0]
     phi = 2 * np.pi * np.arange(16) / 16
     PSI, PHI = np.meshgrid(psi, phi, indexing="ij")
@@ -236,11 +272,14 @@ def test_power_tables_leave_every_float_unchanged():
 
 
 def test_terms_with_exponent_zero_factors_leave_every_float_unchanged():
-    # a constant term, a pi-only, a u-only and a zb-only term: only the
-    # factors with a nonzero exponent are multiplied, a term with none is c
-    na = (Poly.const(G(3, 1)) + Poly.monomial(G(2), epi=2)
-          + Poly.monomial(G(-1, 1), eu=3) + Poly.monomial(G(1, 2), ezb=2))
-    e = RatExpr(na=na, nb=Poly.monomial(G(1, -1), ez=1), den={CHART_DENOMINATOR: 2})
+    # a constant, pi-only terms, a u-only term and a pair z^2, zb^2 (a != b);
+    # the powers with exponent 0 are the float 1.0, which multiplies exactly,
+    # and three pi powers share one u^0 weight, which their order can change
+    na = (Poly.const(G(rat(-9, 7))) + Poly.monomial(G(rat(-9, 7)), epi=1)
+          + Poly.monomial(G(rat(2, 7)), epi=2) + Poly.monomial(G(-1), eu=3)
+          + Poly.monomial(G(1, 2), ezb=2) + Poly.monomial(G(1, -2), ez=2))
+    nb = Poly.monomial(G(1, -1), ez=1) + Poly.monomial(G(1, 1), ezb=1)
+    e = RatExpr(na=na, nb=nb, den={CHART_DENOMINATOR: 2})
     fn = compile_integrand(e).fn
     psi = (np.pi / 2) * _gauss(8)[0]
     PSI, PHI = np.meshgrid(psi, 2 * np.pi * np.arange(6) / 6, indexing="ij")
@@ -252,6 +291,31 @@ def test_terms_with_exponent_zero_factors_leave_every_float_unchanged():
         got = fn(*args)
         assert got.shape == np.broadcast(*args).shape
         assert np.array_equal(got, reference_fn(e, *args)), args
+
+
+def test_compile_rejects_a_polynomial_that_is_not_real():
+    # i z, and the chart denominator's unpaired factor D = 1 + z zb - iu
+    with pytest.raises(ValueError, match="not real"):
+        compile_integrand(Poly.monomial(G(0, 1), ez=1))
+    d = P_ONE + Poly.var("z") * Poly.var("zb") - Poly.monomial(G(0, 1), eu=1)
+    with pytest.raises(ValueError, match="not real"):
+        compile_integrand(RatExpr(na=P_ONE, nb=Poly(), den={d: 1}))
+    # the same test runs on the polynomials about a center
+    with pytest.raises(ValueError, match="not real"):
+        compile_integrand(Poly.monomial(G(0, 1), ez=1), center=((3, 2), 0, 0))
+
+
+def test_every_integrand_returns_float64_of_the_broadcast_shape():
+    grid = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    shapes = ((grid, grid, grid), (grid, grid, grid[:, :1]), (grid[:1], grid[:1], grid[:, :1]),
+              (0.5, -1.5, 0.75))
+    for ci in (compile_integrand(P_ONE), compile_integrand(7), qprime_volume_integrand()):
+        for args in shapes:
+            got = ci.fn(*args)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64, ci.label
+            assert got.shape == np.broadcast(*args).shape, ci.label
+    assert np.array_equal(compile_integrand(P_ONE).fn(grid, grid, grid[:, :1]),
+                          np.ones(grid.shape))
 
 
 # centers as bump_profile takes them: real, complex, and complex with a u offset
@@ -309,9 +373,7 @@ def test_centered_compile_is_the_reference_on_the_shifted_polynomials(center):
     r = 0.7 * np.sqrt(np.cos(PSI))
     shell = (xc + r * np.cos(PHI), yc + r * np.sin(PHI), uc + 0.49 * np.sin(PSI))
     column = shell[:2] + (shell[2][:, :1],)
-    # where numpy's array power and its float64 scalar power differ (as with
-    # AVX-512), u^k taken on a scalar instead of a 0-d array changes the value
-    # at (0.5, -1.5, 0.7367346938775511) about the center (3/2, 0, 0)
+    # and as scalars: a point off the shell, and the center itself
     for args in (shell, column, (0.5, -1.5, uc + 0.7367346938775511), (xc, yc, uc)):
         for pi_value in (math.pi, 25 / 8):
             got = ci.fn(*args, pi_value=pi_value)
@@ -479,16 +541,14 @@ def test_sphere_report_does_not_depend_on_the_blas_pool():
     assert len(outputs) == 1
 
 
-def test_gauss_rules_do_not_depend_on_numpy_cpu_dispatch():
-    # NPY_DISABLE_CPU_FEATURES acts only on the process that reads it; on a
-    # machine without AVX-512 these settings change nothing
-    script = (
-        "import sys\n"
-        "from crprime.sphere import _gauss\n"
-        f"for n in {RULE_SIZES!r}:\n"
-        "    x, w = _gauss(n)\n"
-        "    sys.stdout.buffer.write(x.tobytes() + w.tobytes())\n"
-    )
+def _under_cpu_dispatch_settings(args):
+    """stdout of a child running args under the default and two reduced numpy
+    CPU feature sets, keyed by NPY_DISABLE_CPU_FEATURES; skips the test where
+    numpy refuses a setting.
+
+    The variable acts only on the process that reads it; on a machine without
+    AVX-512 these settings change nothing.
+    """
     env = _child_env()
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     outputs = {}
@@ -496,13 +556,33 @@ def test_gauss_rules_do_not_depend_on_numpy_cpu_dispatch():
                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"):
         if disabled:
             env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, check=not disabled)
         if proc.returncode:
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={disabled!r}: "
                         f"{proc.stderr.decode(errors='replace')}")
         outputs[disabled] = proc.stdout
+    return outputs
+
+
+def test_gauss_rules_do_not_depend_on_numpy_cpu_dispatch():
+    script = (
+        "import sys\n"
+        "from crprime.sphere import _gauss\n"
+        f"for n in {RULE_SIZES!r}:\n"
+        "    x, w = _gauss(n)\n"
+        "    sys.stdout.buffer.write(x.tobytes() + w.tobytes())\n"
+    )
+    outputs = _under_cpu_dispatch_settings(["-c", script])
     assert len(outputs[""]) == 2 * 8 * sum(RULE_SIZES)
+    assert len(set(outputs.values())) == 1
+
+
+def test_sphere_report_does_not_depend_on_numpy_cpu_dispatch():
+    # the compiled integrands use only + - * / and sqrt on float64, which
+    # every SIMD kernel rounds the same
+    outputs = _under_cpu_dispatch_settings(["-m", "crprime", "run", "sphere", "--format", "json"])
+    assert b"sphere.delta.off_center" in outputs[""]
     assert len(set(outputs.values())) == 1
 
 
