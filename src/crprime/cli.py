@@ -9,6 +9,7 @@ enters the output (timings go to stderr, opt-in).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -211,7 +212,6 @@ def expand_command(args) -> int:
     if args.quantity == "szego":
         closed = szego_candidate()
         if fmt == "json":
-            import json
             sys.stdout.write(json.dumps(
                 {"quantity": "szego", "closed_form": repr(closed)},
                 indent=2, sort_keys=True) + "\n")
@@ -225,7 +225,6 @@ def expand_command(args) -> int:
     series = quantity(moser_structure(md, order=solve_order), key)
     shown = series.truncated(order + 1)
     if fmt == "json":
-        import json
         doc = {
             "quantity": args.quantity,
             "order": order,

@@ -19,7 +19,7 @@ those three; treating atoms as independent is therefore conservative and safe.
 
 from __future__ import annotations
 
-from .gauss import G, GR_ONE, GR_ZERO, GaussRational, rat
+from .gauss import G, GR_ONE, GaussRational
 from .poly import P_ONE, P_ZERO, PI, U, Z, ZB, Poly
 
 SIGMA = (Z * ZB) ** 2 + U**2  # s^2 as a polynomial
@@ -78,10 +78,6 @@ class RatExpr:
     def __setattr__(self, name, value):
         raise AttributeError("RatExpr is immutable")
 
-    @classmethod
-    def const(cls, c):
-        return cls(na=Poly.const(c))
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
@@ -97,7 +93,7 @@ class RatExpr:
 
     def __eq__(self, other):
         if isinstance(other, (int, GaussRational, Poly)):
-            other = RatExpr(na=other if isinstance(other, Poly) else Poly.const(other))
+            other = RatExpr(other)
         if not isinstance(other, RatExpr):
             return NotImplemented
         return (self - other).is_zero()
@@ -131,10 +127,8 @@ class RatExpr:
     def _coerce(self, other):
         if isinstance(other, RatExpr):
             return other
-        if isinstance(other, (int, GaussRational)):
-            return RatExpr(na=Poly.const(other))
-        if isinstance(other, Poly):
-            return RatExpr(na=other)
+        if isinstance(other, (int, GaussRational, Poly)):
+            return RatExpr(other)
         return None
 
     def __add__(self, other):
@@ -330,7 +324,7 @@ class LogExpr:
         clean = {}
         for key, coeff in (terms or {}).items():
             if not isinstance(coeff, RatExpr):
-                coeff = RatExpr.const(coeff) if not isinstance(coeff, Poly) else RatExpr(na=coeff)
+                coeff = RatExpr(coeff)
             if coeff.is_zero():
                 continue
             clean[tuple(sorted(key))] = coeff
@@ -342,11 +336,6 @@ class LogExpr:
     @classmethod
     def from_rat(cls, rx):
         return cls({(): rx})
-
-    @classmethod
-    def atom(cls, name):
-        Atom.get(name)
-        return cls({((name, 1),): RX_ONE})
 
     # -- structure ---------------------------------------------------------
 
@@ -374,10 +363,7 @@ class LogExpr:
         if isinstance(other, LogExpr):
             return other
         if isinstance(other, (int, GaussRational, Poly, RatExpr)):
-            rx = other if isinstance(other, RatExpr) else None
-            if rx is None:
-                rx = RatExpr(na=other) if isinstance(other, Poly) else RatExpr.const(other)
-            return LogExpr.from_rat(rx)
+            return LogExpr.from_rat(other)  # __init__ lifts it with RatExpr(x)
         return None
 
     def __add__(self, other):
@@ -424,7 +410,7 @@ class LogExpr:
 
     def __truediv__(self, other):
         if isinstance(other, (int, GaussRational)):
-            other = RatExpr.const(other)
+            other = RatExpr(other)
         if isinstance(other, RatExpr):
             inv = other.inverse()
             return LogExpr({k: c * inv for k, c in self.terms.items()})
@@ -481,15 +467,6 @@ class LogExpr:
                 den = den * base ** (-n)
         return num / den
 
-    def eval(self, point, s_val, atom_values):
-        total = GR_ZERO
-        for key, c in self.terms.items():
-            v = c.eval(point, s_val)
-            for name, p in key:
-                v = v * atom_values[name] ** p
-            total = total + v
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "LogExpr(0)"
@@ -501,36 +478,5 @@ class LogExpr:
 
 
 def log_atom(name):
-    return LogExpr.atom(name)
-
-
-def random_probe(rng):
-    """A generic rational point where s is exactly rational, plus atom values.
-
-    zb is the honest conjugate of z and conjugate atoms get conjugate values,
-    so conj() commutes with eval().  Atom values are otherwise unconstrained:
-    probes cross-check formal manipulations, they are not the zero test.
-    """
-    while True:
-        p, q = rng.randint(-5, 5), rng.randint(-5, 5)
-        if p or q:
-            break
-    z = G(p, q)
-    m = z * z.conj()
-    t = rat(rng.randint(2, 9), rng.randint(1, 3))
-    u = m.re * (t * t - 1) / (2 * t)
-    s_val = G(m.re * (t * t + 1) / (2 * t))
-    point = {
-        "z": z,
-        "zb": z.conj(),
-        "u": G(u),
-        "pi": G(rat(355, 113)),  # any positive stand-in; pi never cancels
-    }
-    v_zeta = G(rat(rng.randint(1, 7)), rat(rng.randint(1, 7)))
-    atom_values = {
-        "log_s": G(rat(rng.randint(1, 9), 2)),
-        "log_zeta": v_zeta,
-        "log_zetab": v_zeta.conj(),
-        "log_2pi": G(rat(rng.randint(1, 9), 3)),
-    }
-    return point, s_val, atom_values
+    Atom.get(name)
+    return LogExpr({((name, 1),): RX_ONE})

@@ -323,14 +323,3 @@ class AdaptedCoframe:
                 "theta1^theta1b": evaluate(form, Z1, Z1b),
             }
         return {"theta^theta1^theta1b": evaluate(form, T, Z1, Z1b)}
-
-    def verify_duality(self):
-        """Pairing residuals; all nine should be zero scalars."""
-        out = []
-        for name, f in (("theta", self.theta), ("theta1", self.theta1), ("theta1b", self.theta1b)):
-            row = self.expand_in_coframe(f)
-            want = {"theta": name == "theta", "theta1": name == "theta1", "theta1b": name == "theta1b"}
-            for k, flag in want.items():
-                r = row[k] - 1 if flag else row[k]
-                out.append((f"{name}({k})", r))
-        return out

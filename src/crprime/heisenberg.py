@@ -18,6 +18,7 @@ from .poly import P_ONE, PI, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
 from .series import GradedSeries
 from .structure import (
+    HALF,
     conformal_change,
     covariant_derivative,
     cr_laplacian,
@@ -34,13 +35,6 @@ from .structure import (
     torsion_transform,
 )
 
-HALF = GQ("1/2")
-
-
-def rx(p):
-    return RatExpr(na=p if isinstance(p, Poly) else Poly.const(p))
-
-
 class FlatModel:
     """The solved flat structure plus its Green's-function scalars."""
 
@@ -48,12 +42,12 @@ class FlatModel:
 
     def __init__(self):
         theta = one_form(
-            cz=rx(Poly.const(GR_I * GQ("-1/2")) * ZB),
-            czb=rx(Poly.const(GR_I * GQ("1/2")) * Z),
-            cu=rx(HALF),
+            cz=RatExpr(Poly.const(GR_I * GQ("-1/2")) * ZB),
+            czb=RatExpr(Poly.const(GR_I * GQ("1/2")) * Z),
+            cu=RatExpr(HALF),
         )
         object.__setattr__(self, "structure", solve_structure(theta))
-        object.__setattr__(self, "green", RX_ONE / (rx(2 * PI) * RX_S))
+        object.__setattr__(self, "green", RX_ONE / (RatExpr(2 * PI) * RX_S))
         object.__setattr__(
             self, "log_green", -(log_atom("log_2pi")) - log_atom("log_s")
         )
@@ -82,12 +76,9 @@ def flat_q2_terms():
 
 def flat_series_structure(order: int):
     """The flat structure with graded-series scalars, for graded-mode tests."""
-    theta = one_form(
-        cz=GradedSeries(Poly.const(GR_I * GQ("-1/2")) * ZB, order),
-        czb=GradedSeries(Poly.const(GR_I * GQ("1/2")) * Z, order),
-        cu=GradedSeries(Poly.const(HALF), order),
-    )
-    return solve_structure(theta, invert_order=order)
+    theta = flat_model().structure.theta
+    lifted = (GradedSeries(theta.component(i).as_poly(), order) for i in range(3))
+    return solve_structure(one_form(*lifted), invert_order=order)
 
 
 # -- named verification operations -------------------------------------------
@@ -211,7 +202,7 @@ def heisenberg_suite() -> list:
     out.append(
         check_zero(
             "heisenberg.green_normalization",
-            fm.green * (rx(2 * PI) * RX_S) - 1,
+            fm.green * (RatExpr(2 * PI) * RX_S) - 1,
             "trivial",
             "G times 2 pi s is exactly 1",
         )
@@ -228,7 +219,7 @@ def heisenberg_suite() -> list:
     # negative control: log s is not annihilated by the CR Laplacian
     bad = cr_laplacian(st, log_atom("log_s"))
     bad_rat = bad.as_rat()
-    want = rx(-8 * Z * ZB) / rx(ZETA * ZETA.conj())
+    want = RatExpr(-8 * Z * ZB) / RatExpr(ZETA * ZETA.conj())
     out.append(
         check_true(
             "heisenberg.log_not_harmonic",
@@ -253,14 +244,14 @@ def heisenberg_suite() -> list:
     )
 
     # pluriharmonic battery for the third-order operator
-    zeta_rx = rx(ZETA)
+    zeta_rx = RatExpr(ZETA)
     battery = [
         ("one", LogExpr.from_rat(RX_ONE)),
         ("re_zeta", LogExpr.from_rat(re_scalar(zeta_rx))),
         ("im_zeta", LogExpr.from_rat(im_scalar(zeta_rx))),
         ("re_zeta_sq", LogExpr.from_rat(re_scalar(zeta_rx * zeta_rx))),
         ("re_log_zeta", re_scalar(log_atom("log_zeta"))),
-        ("u", LogExpr.from_rat(rx(U))),
+        ("u", LogExpr.from_rat(RatExpr(U))),
     ]
     for name, f in battery:
         out.append(
@@ -282,7 +273,7 @@ def heisenberg_suite() -> list:
 
     # sublaplacian oracle: log rho -> z zb / s^2 = (zeta + zetab)/(2 zeta zetab)
     lap = sublaplacian(st, fm.log_rho)
-    want_lap = LogExpr.from_rat(rx(Z * ZB) / rx(ZETA * ZETA.conj()))
+    want_lap = LogExpr.from_rat(RatExpr(Z * ZB) / RatExpr(ZETA * ZETA.conj()))
     out.append(
         check_zero(
             "heisenberg.sublaplacian_log_rho",
@@ -420,7 +411,7 @@ _BATTERY_ATOMS = (
 
 def _battery_cases():
     for name, poly in _BATTERY_ATOMS:
-        Atom.register(name, rx(poly), name)  # all arguments are real
+        Atom.register(name, RatExpr(poly), name)  # all arguments are real
     fm = flat_model()
     return [
         ("1+zzb", log_atom("log_one_plus_zzb")),

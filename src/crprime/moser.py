@@ -29,16 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from random import Random
 
 from .forms import exterior_d, one_form, sc_conj, sc_is_zero, wedge
 from .gauss import GR_I, G, GaussRational
 from .poly import P_ONE, P_ZERO, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
 from .series import GradedSeries
-from .structure import pseudo_einstein_tensor, solve_structure, sublaplacian, verify_structure
-
-_HALF = G(Fraction(1, 2))
+from .structure import HALF, pseudo_einstein_tensor, solve_structure, sublaplacian, verify_structure
 
 # solve budgets: the reference comparisons need every graded block below the
 # cutoff to survive the derivative losses of the pipeline, so the working
@@ -72,7 +69,6 @@ class MoserData:
 
     c42: tuple = ()
     c33: tuple = ()
-    n: int = 8
     extra: tuple = ()
     allow_low_weight: bool = False
 
@@ -115,15 +111,10 @@ def defining_e(md: MoserData) -> Poly:
     return e
 
 
-def defining_function(md: MoserData) -> Poly:
-    """The v-free part of r = v - |z|^2 + E; the graph v = |z|^2 - E makes r vanish."""
-    return -Poly.monomial(G(1), 1, 1) + defining_e(md)
-
-
 def moser_theta(md: MoserData, order: int) -> "DifferentialForm":
     e = defining_e(md)
     ez, ezb, eu = e.diff("z"), e.diff("zb"), e.diff("u")
-    half = Poly.const(_HALF)
+    half = Poly.const(HALF)
     ipol = Poly.const(GR_I)
     z, zb = Poly.var("z"), Poly.var("zb")
     cu = half * (P_ONE + eu * eu)
@@ -144,6 +135,7 @@ class MoserStructure:
     lam: GradedSeries
     a1: GradedSeries
     a1up: GradedSeries
+    g0: GradedSeries  # Levi metric from E and lambda, in the coordinate frame
 
 
 @lru_cache(maxsize=16)
@@ -164,12 +156,12 @@ def _solve(md: MoserData, order: int) -> MoserStructure:
     ii = GradedSeries.const(GR_I, order)
     hint = one_form(cz=S(P_ONE)) - theta * (ii * a1up)
     struct = solve_structure(theta, theta1_hint=hint, invert_order=order)
-    return MoserStructure(md=md, order=order, e=e, struct=struct, lam=lam, a1=a1, a1up=a1up)
+    return MoserStructure(md=md, order=order, e=e, struct=struct, lam=lam, a1=a1, a1up=a1up, g0=g0)
 
 
 def moser_structure(md: MoserData, order=None) -> MoserStructure:
     if order is None:
-        order = max(md.n, _SERIES_FLOOR)
+        order = _SERIES_FLOOR
     return _solve(md, max(order, md.max_weight() + 1))
 
 
@@ -272,7 +264,7 @@ def _weight_block(md: MoserData, w: int):
         picked = True
     if not picked:
         return None
-    return MoserData(c42=tuple(c42), c33=tuple(c33), n=md.n, extra=extra, allow_low_weight=md.allow_low_weight)
+    return MoserData(c42=tuple(c42), c33=tuple(c33), extra=extra, allow_low_weight=md.allow_low_weight)
 
 
 def _torsion_flip(e_block: Poly, target: int) -> Poly:
@@ -507,10 +499,10 @@ def sublaplacian_pattern_reports(md: MoserData) -> list:
     czzb = D(z * zb) - S(zb) * cz - S(z) * czb
     czu = D(z * u) - S(u) * cz - S(z) * cu
     czbu = D(zb * u) - S(u) * czb - S(zb) * cu
-    cuu = (D(u * u) - S(Poly.monomial(G(2), 0, 0, 1)) * cu) * GradedSeries.const(_HALF, o)
+    cuu = (D(u * u) - S(Poly.monomial(G(2), 0, 0, 1)) * cu) * GradedSeries.const(HALF, o)
     no_dz2 = D(z * z) - S(Poly.monomial(G(2), 1, 0, 0)) * cz
     no_dzb2 = D(zb * zb) - S(Poly.monomial(G(2), 0, 1, 0)) * czb
-    h = czzb * GradedSeries.const(_HALF, o)
+    h = czzb * GradedSeries.const(HALF, o)
     iz = S(Poly.monomial(GR_I, 1, 0))
     izb = S(Poly.monomial(GR_I, 0, 1))
     two = GradedSeries.const(G(2), o)
@@ -570,12 +562,6 @@ def display_identity_reports(md: MoserData) -> list:
         + a1up * st.ginv * zg
         - a1up * a1
     )
-    g_formula = st.g - (
-        S(P_ONE - ms.e.diff("z").diff("zb"))
-        - ms.lam * S(ms.e.diff("u").diff("zb"))
-        - ms.lam.conj() * S(ms.e.diff("u").diff("z"))
-        - ms.lam * ms.lam.conj() * S(ms.e.diff("u").diff("u"))
-    )
 
     def form_resid(check_id, form, anchor):
         bad = None
@@ -587,7 +573,7 @@ def display_identity_reports(md: MoserData) -> list:
         return check_true(check_id, ok, "0" if ok else residual_repr(bad), "reference", anchor)
 
     return [
-        check_zero("moser.display.metric_formula", g_formula, "reference", "Levi metric in terms of E and lambda"),
+        check_zero("moser.display.metric_formula", st.g - ms.g0, "reference", "Levi metric in terms of E and lambda"),
         form_resid("moser.display.contact_derivative", resid0, "d(theta) against its displayed decomposition"),
         form_resid("moser.display.coframe_derivative", resid1, "d(theta1) against its displayed decomposition"),
         form_resid("moser.display.connection_formula", resid2, "connection form against its displayed decomposition"),
@@ -653,10 +639,10 @@ def fefferman_J(md: MoserData, order=None, scale=1, scale_cubed=1) -> GradedSeri
     fefferman_J(md, scale=c) == c**3 * fefferman_J(md).
     """
     if order is None:
-        order = max(md.n, md.max_weight() + 1)
+        order = max(8, md.max_weight() + 1)
     e = defining_e(md)
     ez, ezb, eu = e.diff("z"), e.diff("zb"), e.diff("u")
-    half = Poly.const(_HALF)
+    half = Poly.const(HALF)
     quarter = Poly.const(G(Fraction(1, 4)))
     z, zb = Poly.var("z"), Poly.var("zb")
     c = Poly.const(_as_gauss(scale))
@@ -721,14 +707,6 @@ def example_data() -> MoserData:
         c42=(G(1, 1), G(2, -1), G(Fraction(1, 2), Fraction(1, 3)), G(-1, 1)),
         c33=(G(2), G(-1), G(Fraction(1, 2)), G(Fraction(1, 3))),
     )
-
-
-def random_data(seed, degree=2) -> MoserData:
-    rng = Random(seed)
-    pick = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-    c42 = tuple(G(pick(), pick()) for _ in range(degree + 1))
-    c33 = tuple(G(pick()) for _ in range(degree + 1))
-    return MoserData(c42=c42, c33=c33)
 
 
 def moser_suite(md: MoserData = None, table=None) -> list:

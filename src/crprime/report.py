@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .forms import sc_is_zero
+
 STATUSES = ("pass", "fail", "recorded")
 PROVENANCES = ("reference", "trivial", "derived")
 
@@ -35,18 +37,9 @@ class VerificationReport:
         if not isinstance(self.residual, (str, int, float, type(None))):
             raise TypeError("residual must be serialized before constructing the report")
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def residual_repr(x) -> str:
     """Stable short string for an exact scalar residual."""
-    from .forms import sc_is_zero
-
     if sc_is_zero(x):
         return "0"
     s = repr(x)
@@ -56,8 +49,6 @@ def residual_repr(x) -> str:
 
 
 def check_zero(check_id, scalar, provenance, anchor, detail="") -> VerificationReport:
-    from .forms import sc_is_zero
-
     ok = sc_is_zero(scalar)
     return VerificationReport(
         check_id=check_id,
@@ -108,16 +99,9 @@ def reports_to_json(reports, meta=None) -> str:
     doc = {
         "schema": SCHEMA,
         "meta": dict(sorted((meta or {}).items())),
-        "checks": [r.to_dict() for r in _sorted_unique(reports)],
+        "checks": [asdict(r) for r in _sorted_unique(reports)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def reports_from_json(text):
-    doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unknown report schema {doc.get('schema')!r}")
-    return doc.get("meta", {}), [VerificationReport.from_dict(d) for d in doc["checks"]]
 
 
 def reports_to_text(reports, meta=None) -> str:

@@ -32,9 +32,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .expr import SIGMA, Atom, LogExpr, RatExpr, log_atom
-from .forms import one_form, sc_diff, sc_is_zero
+from .forms import sc_diff, sc_is_zero
 from .gauss import GR_I, G, GaussRational, rat
-from .heisenberg import flat_model, rx
+from .heisenberg import flat_model
 from .poly import P_ONE, P_ZERO, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded
 from .structure import (
@@ -56,7 +56,7 @@ SIXTEEN_PI_SQ = 16 * math.pi**2
 
 def chart_factor() -> RatExpr:
     """The conformal factor 4/((1 + z zb)^2 + u^2) relating the two contact forms."""
-    return rx(Poly.const(G(4))) / rx(CHART_DENOMINATOR)
+    return RatExpr(G(4)) / RatExpr(CHART_DENOMINATOR)
 
 
 def chart_upsilon() -> LogExpr:
@@ -73,13 +73,8 @@ def sphere_structure_in_chart():
 
 @lru_cache(maxsize=1)
 def _standard_flat_structure():
-    # du - i zb dz + i z dzb: same contact plane, Levi factor 2, density 4
-    theta = one_form(
-        cz=rx(Poly.const(-GR_I) * ZB),
-        czb=rx(Poly.const(GR_I) * Z),
-        cu=rx(P_ONE),
-    )
-    return solve_structure(theta)
+    # twice the flat form, du - i zb dz + i z dzb: Levi factor 2, density 4
+    return solve_structure(2 * flat_model().structure.theta)
 
 
 # -- exact chart reports ------------------------------------------------------
@@ -151,7 +146,7 @@ def chart_reports() -> list:
 
     # w = 16 pi^2 G^2 (s^2 / ((1+z zb)^2 + u^2)); the last ratio tends to 1
     # at the removed point, so theta_sphere matches the Green-rescaled form there
-    sixteen_pi2 = rx(Poly.monomial(G(16), 0, 0, 0, 2))
+    sixteen_pi2 = RatExpr(Poly.monomial(G(16), 0, 0, 0, 2))
     out.append(check_zero(
         "sphere.chart.green_factor",
         w * CHART_DENOMINATOR - sixteen_pi2 * fm.green * fm.green * SIGMA,
@@ -356,10 +351,8 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
     expanded about, which keeps the terms few and free of cancellation near
     it; fn still takes absolute (x, y, u), and exact keeps e as given.
     """
-    if isinstance(e, Poly):
-        e = rx(e)
-    elif isinstance(e, (int, GaussRational)):
-        e = rx(Poly.const(e if isinstance(e, GaussRational) else G(e)))
+    if isinstance(e, (int, GaussRational, Poly)):
+        e = RatExpr(e)
     if not isinstance(e, RatExpr):
         raise ValueError(f"cannot compile {type(e).__name__} to a chart integrand")
 
@@ -427,11 +420,11 @@ def _dyadic_probe(rng):
     return point, G(s)
 
 
-def probe_report(ci: ChartIntegrand, check_id: str, n=10, seed=0) -> VerificationReport:
-    """Compiled-vs-exact agreement at n exact rational points."""
+def probe_report(ci: ChartIntegrand, check_id: str, seed=0) -> VerificationReport:
+    """Compiled-vs-exact agreement at 10 exact rational points."""
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(10):
         point, s_val = _dyadic_probe(rng)
         exact = ci.exact.eval(point, s_val)
         ev = complex(float(exact.re), float(exact.im))
@@ -445,7 +438,7 @@ def probe_report(ci: ChartIntegrand, check_id: str, n=10, seed=0) -> Verificatio
         worst,
         "trivial",
         "compiled integrand matches exact evaluation at rational probe points",
-        detail=f"{n} points, seed {seed}",
+        detail=f"10 points, seed {seed}",
     )
 
 
@@ -695,7 +688,7 @@ def delta_normalization(profile=4, center=(0, 0, 0),
         raise ValueError(f"unknown normalization {normalization!r}")
 
     bump = bump_profile(profile, center=center)
-    e = fm.green * cr_laplacian(struct, rx(bump)) * dens
+    e = fm.green * cr_laplacian(struct, RatExpr(bump)) * dens
     ci = compile_integrand(e, label=f"delta_bump_{profile}", singular_exponent=2,
                            center=center)
     fcenter = tuple(float(_frac(c)) for c in center)

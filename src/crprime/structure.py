@@ -23,12 +23,12 @@ from .expr import LogExpr
 from .forms import (
     AdaptedCoframe,
     DifferentialForm,
-    VectorField,
     evaluate,
     exterior_d,
     form_from_scalar,
     invert_scalar,
     one_form,
+    reeb_field,
     sc_conj,
     sc_is_zero,
     wedge,
@@ -76,8 +76,6 @@ class PseudohermitianStructure:
 
 
 def solve_structure(theta, theta1_hint=None, invert_order=None):
-    from .forms import reeb_field
-
     try:
         T = reeb_field(theta, invert_order)
     except ZeroDivisionError as exc:

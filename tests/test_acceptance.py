@@ -12,6 +12,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from crprime.cli import main
+from crprime.expr import RatExpr
 from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.heisenberg import (
@@ -21,14 +22,12 @@ from crprime.heisenberg import (
     green_harmonicity,
     p3_log_rho,
     q3_identity,
-    rx,
     szego_candidate,
 )
 from crprime.moser import (
     chain_check,
     example_data,
     fefferman_J,
-    random_data,
     verify_expansion,
 )
 from crprime.poly import P_ONE, U, Z, ZB, Poly
@@ -48,6 +47,7 @@ from crprime.structure import (
     p_prime,
     torsion_transform,
 )
+from helpers import random_data
 
 SEEDS = (21, 22, 23, 24, 25)  # the five randomized instances for criteria 2 and 3
 
@@ -105,11 +105,11 @@ def test_04_flat_frame_identity_suite():
     fm = flat_model()
     st = fm.structure
 
-    assert sc_is_zero(st.Z1b.apply(rx(ZETA)))  # zeta is CR holomorphic
+    assert sc_is_zero(st.Z1b.apply(RatExpr(ZETA)))  # zeta is CR holomorphic
 
     log_rho4 = 4 * fm.log_rho
     d1 = covariant_derivative(st, log_rho4, "1")
-    assert sc_is_zero(d1 - rx(2 * ZB) / rx(ZETA))
+    assert sc_is_zero(d1 - RatExpr(2 * ZB) / RatExpr(ZETA))
     d2 = covariant_derivative(st, log_rho4, "11")
     assert sc_is_zero(d2 + d1 * d1)
 
@@ -135,7 +135,7 @@ def test_06_flat_transformation_identity_closure():
 
     szego = szego_candidate()
     sigma = (Z * ZB) ** 2 + U * U
-    expected = rx(Poly.const(G(16)) * ((Z * ZB) ** 2 - U * U)) / (rx(sigma) * rx(sigma))
+    expected = RatExpr(Poly.const(G(16)) * ((Z * ZB) ** 2 - U * U)) / (RatExpr(sigma) * RatExpr(sigma))
     assert sc_is_zero(szego - expected)
     assert sc_is_zero(p3_operator(st, szego))
     assert sc_is_zero(p_prime(st, lg) + paneitz(st, lg * lg))

@@ -7,7 +7,8 @@ import pytest
 
 from crprime import heisenberg
 from crprime.cli import main
-from crprime.report import recorded, reports_from_json, reports_to_json, reports_to_text
+from crprime.report import recorded, reports_to_json, reports_to_text
+from helpers import reports_from_json
 
 FAST_GRID = "48x24x32"
 

@@ -2,14 +2,13 @@
 
 import pytest
 
-from crprime.expr import Atom, log_atom
+from crprime.expr import Atom, RatExpr, log_atom
 from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.heisenberg import (
     conformal_battery,
     flat_model,
     graded_conformal_check,
-    rx,
 )
 from crprime.poly import P_ONE, Z, ZB, Poly
 from crprime.report import has_failure
@@ -25,9 +24,9 @@ def test_battery_green():
 def test_torsion_hand_oracle():
     # f = 1 + z zb: the law gives A-hat^1_{1b} = 2 i z^2 / f^3
     st = flat_model().structure
-    Atom.register("log_one_plus_zzb", rx(P_ONE + Z * ZB), "log_one_plus_zzb")
+    Atom.register("log_one_plus_zzb", RatExpr(P_ONE + Z * ZB), "log_one_plus_zzb")
     ups = log_atom("log_one_plus_zzb")
-    want = rx(Poly.const(G(0, 2)) * Z * Z) / rx((P_ONE + Z * ZB) ** 3)
+    want = RatExpr(Poly.const(G(0, 2)) * Z * Z) / RatExpr((P_ONE + Z * ZB) ** 3)
     pred = torsion_transform(st, ups)
     got = pred.as_rat() if hasattr(pred, "as_rat") else pred
     assert (got - want).is_zero()

@@ -3,7 +3,7 @@
 import random
 
 from crprime import heisenberg
-from crprime.expr import ZETA, log_atom, random_probe
+from crprime.expr import ZETA, RatExpr, log_atom
 from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.poly import P_ONE
@@ -16,11 +16,11 @@ from crprime.heisenberg import (
     heisenberg_suite,
     p3_log_rho,
     q3_identity,
-    rx,
     szego_candidate,
 )
 from crprime.report import has_failure
 from crprime.structure import cr_laplacian, verify_structure
+from helpers import random_probe
 
 
 def test_named_operations_pass():
@@ -53,7 +53,7 @@ def test_suite_green():
 
 def test_szego_closed_form():
     cand = szego_candidate()
-    zeta = rx(ZETA)
+    zeta = RatExpr(ZETA)
     want = 16 * ((zeta.inverse() ** 2 + zeta.conj().inverse() ** 2) * G("1/2"))
     assert (cand - want).is_zero()
     assert (cand - cand.conj()).is_zero()

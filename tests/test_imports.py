@@ -1,9 +1,11 @@
-"""Module boundaries: no crprime module reaches into another's private names."""
+"""Module boundaries: private names, imports, and the names the benchmark wraps."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import crprime
+import crprime.cli
 
 SRC = Path(crprime.__file__).parent
 
@@ -19,3 +21,33 @@ def test_no_private_names_imported_across_modules():
                 if internal and alias.name.startswith("_"):
                     offenders.append(f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}")
     assert offenders == []
+
+
+def test_every_module_level_import_is_used_and_no_function_imports():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                offenders += [f"{path.name}: {a.name} unused" for a in node.names
+                              if (a.asname or a.name).split(".")[0] not in used]
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [f"{path.name}:{node.lineno}: import in {fn.name}" for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offenders == []
+
+
+def test_benchmark_wrap_targets_exist():
+    # bench/tracing.py rebinds these names; one that no longer resolves crashes a
+    # benchmark run, and a method found only on a base class is wrapped nowhere
+    spec = importlib.util.spec_from_file_location("bench_tracing", SRC.parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, path in tracing.LAYER_SPANS + tracing.COUNTERS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            assert part in vars(owner), f"{module}.{path}"
+            owner = vars(owner)[part]
+    assert [s for s in tracing.SUITES if s not in vars(crprime.cli)] == []

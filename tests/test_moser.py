@@ -12,7 +12,6 @@ from crprime.moser import (
     cartan_coefficient,
     chain_check,
     defining_e,
-    defining_function,
     display_identity_reports,
     example_data,
     fefferman_J,
@@ -23,7 +22,6 @@ from crprime.moser import (
     order_pattern_reports,
     pe_consistency_probe,
     quantity,
-    random_data,
     sublaplacian_pattern_reports,
     u_poly,
     verify_expansion,
@@ -31,6 +29,7 @@ from crprime.moser import (
 from crprime.poly import P_ONE, Poly
 from crprime.report import has_failure
 from crprime.series import GradedSeries
+from helpers import random_data
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +66,9 @@ def test_extra_must_be_conjugation_closed():
 
 
 def test_defining_function_flat_and_reality(md):
-    assert defining_function(MoserData()) == -Poly.monomial(G(1), 1, 1)
-    r = defining_function(md)
+    # the v-free part of r = v - |z|^2 + E; the graph v = |z|^2 - E makes r vanish
+    assert -Poly.monomial(G(1), 1, 1) + defining_e(MoserData()) == -Poly.monomial(G(1), 1, 1)
+    r = -Poly.monomial(G(1), 1, 1) + defining_e(md)
     assert r == r.conj()
     # E carries no weight below 6
     e = defining_e(md)

@@ -16,7 +16,7 @@ from crprime import sphere
 from crprime.expr import LogExpr, RatExpr
 from crprime.forms import exterior_d, sc_is_zero, wedge
 from crprime.gauss import G, rat
-from crprime.heisenberg import flat_model, rx
+from crprime.heisenberg import flat_model
 from crprime.poly import P_ONE, Poly
 from crprime.report import has_failure
 from crprime.sphere import (
@@ -87,7 +87,7 @@ def test_torsion_transformation_law_agrees_with_resolve():
 
 def test_chart_factor_is_green_squared_up_to_the_denominator_ratio():
     fm = flat_model()
-    sixteen_pi2 = rx(Poly.monomial(G(16), 0, 0, 0, 2))
+    sixteen_pi2 = RatExpr(Poly.monomial(G(16), 0, 0, 0, 2))
     sigma = (Poly.var("z") * Poly.var("zb")) ** 2 + Poly.var("u") ** 2
     lhs = chart_factor() * CHART_DENOMINATOR
     rhs = sixteen_pi2 * fm.green * fm.green * sigma
@@ -97,7 +97,7 @@ def test_chart_factor_is_green_squared_up_to_the_denominator_ratio():
 def chart_volume_density(theta):
     """Density of theta wedge dtheta against dx dy du (dz^dzb = -2i dx^dy)."""
     vol = wedge(theta, exterior_d(theta))
-    return vol.component(0, 1, 2) * rx(Poly.const(G(0, -2)))
+    return vol.component(0, 1, 2) * RatExpr(Poly.const(G(0, -2)))
 
 
 def test_chart_volume_density_is_one_and_four():
@@ -151,7 +151,7 @@ def test_compile_requires_singularity_declaration():
 
 def test_compiled_green_matches_exact_on_probe_points():
     ci = compile_integrand(flat_model().green, origin_in_domain=False)
-    rep = probe_report(ci, "probe.green", n=10, seed=3)
+    rep = probe_report(ci, "probe.green", seed=3)
     assert rep.status == "pass"
     assert float(rep.residual) <= 1e-12
 
@@ -239,7 +239,7 @@ def test_power_tables_leave_every_float_unchanged():
     fm = flat_model()
     bump = bump_profile(5, center=((3, 2), 0, 0))
     integrands = [
-        compile_integrand(fm.green * cr_laplacian(fm.structure, rx(bump)),
+        compile_integrand(fm.green * cr_laplacian(fm.structure, RatExpr(bump)),
                           singular_exponent=2),
         qprime_volume_integrand(),
         compile_integrand(fm.green, origin_in_domain=False),
@@ -330,7 +330,7 @@ def _exact_center(center):
 def _delta_integrand(center):
     fm = flat_model()
     bump = bump_profile(5, center=center)
-    return fm.green * cr_laplacian(fm.structure, rx(bump))
+    return fm.green * cr_laplacian(fm.structure, RatExpr(bump))
 
 
 @pytest.mark.parametrize("center", CENTERS)
@@ -384,7 +384,7 @@ def test_centered_compile_is_the_reference_on_the_shifted_polynomials(center):
 @pytest.mark.parametrize("center", CENTERS)
 def test_centered_compile_matches_the_unshifted_exact_expression(center):
     ci = compile_integrand(_delta_integrand(center), singular_exponent=2, center=center)
-    rep = probe_report(ci, "probe.centered", n=10, seed=5)
+    rep = probe_report(ci, "probe.centered", seed=5)
     assert rep.status == "pass"
     assert float(rep.residual) <= 1e-12
 
@@ -434,7 +434,7 @@ def test_chart_and_ball_integrals_match_the_full_grid_reference():
     fm = flat_model()
     for center in ((0.0, 0.0, 0.0), (1.5, 0.0, 0.0)):
         bump = bump_profile(5, center=(Fraction(center[0]), 0, 0))
-        ci = compile_integrand(fm.green * cr_laplacian(fm.structure, rx(bump)),
+        ci = compile_integrand(fm.green * cr_laplacian(fm.structure, RatExpr(bump)),
                                singular_exponent=2)
         want = reference_shell_sum(ci, (t + 1) / 2, w / 2, config, center=center)
         assert integrate_ball(ci, config, center=center) == want, center

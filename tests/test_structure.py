@@ -2,10 +2,10 @@
 
 import pytest
 
-from crprime.expr import LogExpr, RX_ONE, RX_S, ZETA, log_atom
+from crprime.expr import LogExpr, RX_ONE, RX_S, ZETA, RatExpr, log_atom
 from crprime.forms import one_form, sc_conj, sc_is_zero
 from crprime.gauss import G
-from crprime.heisenberg import flat_model, flat_series_structure, rx
+from crprime.heisenberg import flat_model, flat_series_structure
 from crprime.poly import P_ONE, PI, U, Z, ZB, Poly
 from crprime.series import GradedSeries
 from crprime.structure import (
@@ -47,8 +47,8 @@ def test_flat_solve(flat):
 def test_flat_frame(flat):
     # Z1 = d/dz + i zb d/du and its conjugate; the u-component flips sign
     assert sc_is_zero(flat.Z1.vz - 1)
-    assert sc_is_zero(flat.Z1.vu - rx(Poly.const(G(0, 1)) * ZB))
-    assert sc_is_zero(flat.Z1b.vu - rx(Poly.const(G(0, -1)) * Z))
+    assert sc_is_zero(flat.Z1.vu - RatExpr(Poly.const(G(0, 1)) * ZB))
+    assert sc_is_zero(flat.Z1b.vu - RatExpr(Poly.const(G(0, -1)) * Z))
 
 
 def test_verify_structure_flat(flat):
@@ -72,22 +72,22 @@ def test_pattern_validation(flat):
 
 def test_noncontact_rejected():
     with pytest.raises(StructureError):
-        solve_structure(one_form(cu=rx(1)))
+        solve_structure(one_form(cu=RatExpr(1)))
 
 
 def test_sublaplacian_log_rho(flat):
     lr = G("1/2") * log_atom("log_s")
-    want = LogExpr.from_rat(rx(Z * ZB) / rx(ZETA * ZETA.conj()))
+    want = LogExpr.from_rat(RatExpr(Z * ZB) / RatExpr(ZETA * ZETA.conj()))
     assert (sublaplacian(flat, lr) - want).is_zero()
 
 
 def test_green_in_kernel(flat):
-    green = RX_ONE / (rx(2 * PI) * RX_S)
+    green = RX_ONE / (RatExpr(2 * PI) * RX_S)
     assert cr_laplacian(flat, green).is_zero()
 
 
 def test_p3_battery(flat):
-    zeta = rx(ZETA)
+    zeta = RatExpr(ZETA)
     half = G("1/2")
     members = [
         LogExpr.from_rat(RX_ONE),
@@ -95,7 +95,7 @@ def test_p3_battery(flat):
         LogExpr.from_rat((zeta - zeta.conj()) * G(0, "-1/2")),
         LogExpr.from_rat((zeta * zeta + (zeta * zeta).conj()) * half),
         (log_atom("log_zeta") + log_atom("log_zetab")) * half,
-        LogExpr.from_rat(rx(U)),
+        LogExpr.from_rat(RatExpr(U)),
     ]
     for f in members:
         assert p3_operator(flat, f).is_zero()
@@ -103,13 +103,13 @@ def test_p3_battery(flat):
 
 def test_p3_u_squared(flat):
     # u^2 is not pluriharmonic: P3 gives 4 zb
-    v = p3_operator(flat, LogExpr.from_rat(rx(U * U)))
-    assert (v - LogExpr.from_rat(rx(4 * ZB))).is_zero()
+    v = p3_operator(flat, LogExpr.from_rat(RatExpr(U * U)))
+    assert (v - LogExpr.from_rat(RatExpr(4 * ZB))).is_zero()
 
 
 def test_p_prime_log_green(flat):
     lg = -(log_atom("log_2pi")) - log_atom("log_s")
-    want = 16 * ((rx(ZETA).inverse() ** 2 + rx(ZETA.conj()).inverse() ** 2) * G("1/2"))
+    want = 16 * ((RatExpr(ZETA).inverse() ** 2 + RatExpr(ZETA.conj()).inverse() ** 2) * G("1/2"))
     got = p_prime(flat, lg)
     assert (got - want).is_zero()
 
@@ -128,9 +128,9 @@ def test_paneitz_conventions_agree(flat):
         return lap2 + t2 - 4 * im_scalar(_raised_divergence(struct, inner))
 
     for f in (
-        LogExpr.from_rat(rx(Z * ZB * U)),
+        LogExpr.from_rat(RatExpr(Z * ZB * U)),
         log_atom("log_s"),
-        LogExpr.from_rat(rx(U**3)),
+        LogExpr.from_rat(RatExpr(U**3)),
     ):
         d = paneitz_intro(flat, f) - paneitz(flat, f)
         assert d.is_zero()
@@ -143,7 +143,7 @@ def test_pseudo_einstein_flat(flat):
 def test_qprime_rhs_requires_pseudo_einstein(flat):
     from crprime.expr import Atom
 
-    Atom.register("log_one_plus_usq", rx(P_ONE + U * U), "log_one_plus_usq")
+    Atom.register("log_one_plus_usq", RatExpr(P_ONE + U * U), "log_one_plus_usq")
     ups = log_atom("log_one_plus_usq")
     hat = conformal_change(flat, ups)
     assert not sc_is_zero(pseudo_einstein_tensor(hat))
