@@ -15,6 +15,7 @@ import time
 
 from .gauss import G
 from .heisenberg import (
+    GRADED_FLOOR,
     conformal_battery,
     graded_conformal_check,
     heisenberg_suite,
@@ -139,8 +140,8 @@ def _suite_reports(name, settings, golden=None, corrupt=None) -> list:
         return reports
     if name == "conformal":
         order = settings.get("order", 16)
-        if order < 10:
-            raise UsageError("conformal suite needs --order >= 10")
+        if order < GRADED_FLOOR:
+            raise UsageError(f"conformal suite needs --order >= {GRADED_FLOOR}")
         return conformal_battery() + graded_conformal_check(order=order)
     if name == "sphere":
         # --tol alone leaves the delta ball on its own default grid
@@ -221,8 +222,7 @@ def expand_command(args) -> int:
 
     key = QUANTITY_KEYS[args.quantity]
     md = MoserData() if args.flat else example_data()
-    solve_order = order + 1 if order + 1 > 13 else None
-    series = quantity(moser_structure(md, order=solve_order), key)
+    series = quantity(moser_structure(md, order=order + 1), key)
     shown = series.truncated(order + 1)
     if fmt == "json":
         doc = {

@@ -35,10 +35,10 @@ def sc_diff(x, var):
     return x.diff(var)
 
 
-def invert_scalar(x, order=None):
+def invert_scalar(x):
     """Multiplicative inverse in whichever scalar ring x lives in."""
     if isinstance(x, GradedSeries):
-        return x.invert(order)
+        return x.invert()
     if isinstance(x, RatExpr):
         return x.inverse()
     if isinstance(x, LogExpr):
@@ -254,7 +254,7 @@ def evaluate(form: DifferentialForm, *vectors) -> object:
     return out.comps.get((), 0)
 
 
-def reeb_field(theta: DifferentialForm, invert_order=None) -> VectorField:
+def reeb_field(theta: DifferentialForm) -> VectorField:
     """The unique T with theta(T) = 1 and dtheta(T, .) = 0."""
     dth = exterior_d(theta)
     # in 3 variables the kernel direction of a 2-form is a cross product
@@ -262,20 +262,19 @@ def reeb_field(theta: DifferentialForm, invert_order=None) -> VectorField:
         dth.component(1, 2), -dth.component(0, 2), dth.component(0, 1)
     )
     norm = evaluate(theta, v)
-    scale = invert_scalar(norm, invert_order)
+    scale = invert_scalar(norm)
     return VectorField(scale * v.vz, scale * v.vzb, scale * v.vu)
 
 
 class AdaptedCoframe:
     """Coframe (theta, theta1, theta1b) with its dual frame (T, Z1, Z1b)."""
 
-    __slots__ = ("theta", "theta1", "theta1b", "T", "Z1", "Z1b", "_order")
+    __slots__ = ("theta", "theta1", "theta1b", "T", "Z1", "Z1b")
 
-    def __init__(self, theta, theta1, invert_order=None):
+    def __init__(self, theta, theta1):
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "theta1", theta1)
         object.__setattr__(self, "theta1b", theta1.conj())
-        object.__setattr__(self, "_order", invert_order)
         M = [
             [self.theta.component(i) for i in range(3)],
             [self.theta1.component(i) for i in range(3)],
@@ -286,7 +285,7 @@ class AdaptedCoframe:
             - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
             + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
         )
-        dinv = invert_scalar(det, invert_order)
+        dinv = invert_scalar(det)
         cols = []
         for a in range(3):
             col = []

@@ -145,24 +145,23 @@ def _solve(md: MoserData, order: int) -> MoserStructure:
     S = lambda p: GradedSeries(p, order)
     theta = moser_theta(md, order)
     # lambda = (zb - E_z)/(-i + E_u) solves theta(d/dz + lambda d/du) = 0
-    lam = S(Poly.var("zb") - e.diff("z")) * S(eu - Poly.const(GR_I)).invert(order)
+    lam = S(Poly.var("zb") - e.diff("z")) * S(eu - Poly.const(GR_I)).invert()
     lamb = lam.conj()
     # a_1 = (-E_uz - lambda E_uu)/(i + E_u)
     euu = eu.diff("u")
-    a1 = (-S(eu.diff("z")) - lam * S(euu)) * S(eu + Poly.const(GR_I)).invert(order)
+    a1 = (-S(eu.diff("z")) - lam * S(euu)) * S(eu + Poly.const(GR_I)).invert()
     # Levi form in the coordinate frame, then a^1 = g^{-1} conj(a_1)
     g0 = S(P_ONE - e.diff("z").diff("zb")) - lam * S(eu.diff("zb")) - lamb * S(eu.diff("z")) - lam * lamb * S(euu)
-    a1up = g0.invert(order) * sc_conj(a1)
+    a1up = g0.invert() * sc_conj(a1)
     ii = GradedSeries.const(GR_I, order)
     hint = one_form(cz=S(P_ONE)) - theta * (ii * a1up)
-    struct = solve_structure(theta, theta1_hint=hint, invert_order=order)
+    struct = solve_structure(theta, theta1_hint=hint)
     return MoserStructure(md=md, order=order, e=e, struct=struct, lam=lam, a1=a1, a1up=a1up, g0=g0)
 
 
-def moser_structure(md: MoserData, order=None) -> MoserStructure:
-    if order is None:
-        order = _SERIES_FLOOR
-    return _solve(md, max(order, md.max_weight() + 1))
+def moser_structure(md: MoserData, order=_SERIES_FLOOR) -> MoserStructure:
+    """Solved at the largest of `order`, _SERIES_FLOOR and one above the top weight of E."""
+    return _solve(md, max(order, _SERIES_FLOOR, md.max_weight() + 1))
 
 
 # -- reference expansions ---------------------------------------------------
@@ -296,7 +295,7 @@ def _block_reports(md: MoserData, which: str, spec: dict) -> list:
             continue
         target = w + d
         # one order for every key, so each block is solved once per suite
-        ms = moser_structure(sub, order=max(_SERIES_FLOOR, w + max(_DEFECT.values()) + 7))
+        ms = moser_structure(sub, order=w + max(_DEFECT.values()) + 7)
         ref = reference_series(ms.e, spec, ms.order)
         resid = quantity(ms, which) - ref
         gold_blk = ref.poly.graded_part(target)

@@ -1,8 +1,8 @@
 """Truncated graded power series: a polynomial plus an explicit O(rho^k) error.
 
 The error order may be math.inf for exact polynomial data; exactness survives
-ring operations and derivatives, and the first genuine inversion (or exp)
-imposes a finite working order, which callers thread through explicitly.
+ring operations and derivatives.  Each series carries its own working order,
+and inversion and exp, which need a finite one, work to it.
 
 Order propagation is conservative: it may understate accuracy, never overstate
 it, so every O(rho^k) claim emitted by this layer is a true statement.
@@ -133,23 +133,22 @@ class GradedSeries:
 
     # -- series functions ------------------------------------------------------
 
-    def _target(self, order):
-        t = self.order if order is None else min(order, self.order)
-        if t == INF:
-            raise ValueError("series function on exact data needs an explicit order")
-        return int(t)
+    def _target(self):
+        if self.order == INF:
+            raise ValueError("series function on exact data needs a finite order")
+        return self.order
 
-    def invert(self, order=None):
-        """The inverse through weight < order, by Newton's iteration.
+    def invert(self):
+        """The inverse through weight < self.order, by Newton's iteration.
 
         y <- y + y (1 - a y) doubles the weight to which a y = 1 holds, so
-        log2(order) steps reach the truncated inverse, which is unique.
+        log2(self.order) steps reach the truncated inverse, which is unique.
         """
         c0 = self.poly.const_term()
         if c0.is_zero():
             raise ZeroDivisionError("inversion of a series with zero constant term")
-        n = self._target(order)
-        a = self.poly.truncate(n)
+        n = self._target()
+        a = self.poly
         if a.graded_part(0) != Poly.const(c0):
             raise ValueError("inversion needs a constant weight-0 part (no bare pi terms)")
         y = Poly.const(GR_ONE / c0)
@@ -159,8 +158,8 @@ class GradedSeries:
             y = y + y.mul(P_ONE - a.mul(y, m), m)
         return GradedSeries(y, n)
 
-    def exp(self, order=None):
-        """e^x through weight < order, by the Euler-operator recurrence.
+    def exp(self):
+        """e^x through weight < self.order, by the Euler-operator recurrence.
 
         The Euler operator multiplies the weight-w block by w; applied to
         y = e^x it gives E y = (E x) y, so y_0 = 1 and
@@ -169,7 +168,7 @@ class GradedSeries:
         """
         if not self.poly.graded_part(0).is_zero():
             raise ValueError("exp needs a zero weight-0 part (no constant or bare pi terms)")
-        n = self._target(order)
+        n = self._target()
         kx = [self.poly.graded_part(k) * k for k in range(n)]
         y = [P_ONE]
         for w in range(1, n):

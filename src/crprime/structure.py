@@ -17,7 +17,6 @@ opposite signs, and raising is always by g^{1 1b}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .expr import LogExpr
 from .forms import (
@@ -54,7 +53,6 @@ class PseudohermitianStructure:
     omega: DifferentialForm
     A: object  # A^1_{1b}
     R: object
-    invert_order: Optional[int] = None
     # connection coefficients omega(T), omega(Z1), omega(Z1b), cached
     conn: tuple = field(default=None, repr=False)
 
@@ -75,9 +73,9 @@ class PseudohermitianStructure:
         return self.conn[{"0": 0, "1": 1, "1b": 2}[token]]
 
 
-def solve_structure(theta, theta1_hint=None, invert_order=None):
+def solve_structure(theta, theta1_hint=None):
     try:
-        T = reeb_field(theta, invert_order)
+        T = reeb_field(theta)
     except ZeroDivisionError as exc:
         raise StructureError("theta is not a contact form (theta ^ dtheta = 0)") from exc
 
@@ -86,7 +84,7 @@ def solve_structure(theta, theta1_hint=None, invert_order=None):
         theta1 = one_form(cz=1) - T.vz * theta
     else:
         theta1 = theta1_hint
-    frame = AdaptedCoframe(theta, theta1, invert_order)
+    frame = AdaptedCoframe(theta, theta1)
 
     dth = exterior_d(theta)
     c = frame.expand_in_coframe(dth)
@@ -94,7 +92,7 @@ def solve_structure(theta, theta1_hint=None, invert_order=None):
         raise StructureError("coframe hint not admissible: dtheta has theta ^ theta1 terms")
     g = c["theta1^theta1b"] * G(0, -1)
     try:
-        ginv = invert_scalar(g, invert_order)
+        ginv = invert_scalar(g)
     except (ZeroDivisionError, ValueError) as exc:
         raise StructureError("Levi form degenerates at the base point") from exc
 
@@ -125,7 +123,6 @@ def solve_structure(theta, theta1_hint=None, invert_order=None):
         omega=omega,
         A=q,
         R=R,
-        invert_order=invert_order,
         conn=conn,
     )
 
@@ -288,10 +285,8 @@ def pseudo_einstein_tensor(struct):
 
 def _exp_of(struct, ups):
     """e^Upsilon: a graded series on a graded structure, a log combination on an exact one."""
-    order = struct.invert_order
-    if order is not None and isinstance(ups, GradedSeries):
-        return ups.exp(order)
-    if order is None and isinstance(ups, LogExpr):
+    graded = isinstance(struct.g, GradedSeries)
+    if isinstance(ups, GradedSeries if graded else LogExpr):
         return ups.exp()
     raise StructureError(
         "Upsilon must be a GradedSeries on a graded structure or a LogExpr on an exact one"
@@ -314,7 +309,7 @@ def conformal_change(struct, ups):
         if br is not None:
             b = br
     hint = struct.theta1 + (GR_I * b) * struct.theta
-    return solve_structure(theta_hat, theta1_hint=hint, invert_order=struct.invert_order)
+    return solve_structure(theta_hat, theta1_hint=hint)
 
 
 def torsion_transform(struct, ups):
@@ -327,7 +322,7 @@ def torsion_transform(struct, ups):
     g-hat = g.
     """
     f = _exp_of(struct, ups)
-    finv = invert_scalar(f, struct.invert_order)
+    finv = invert_scalar(f)
     a11 = struct.g * sc_conj(struct.A)
     u1 = covariant_derivative(struct, ups, "1")
     u11 = covariant_derivative(struct, ups, "11")

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -128,9 +129,27 @@ def test_timings_go_to_stderr_as_setup_cpu_and_suite_wall_and_cpu(capsys):
 
 
 def test_run_conformal_rejects_low_order(capsys):
-    code, _, err = run_cli(capsys, "run", "conformal", "--order", "8")
-    assert code == 2
-    assert "order" in err
+    # the graded Q' path tracks order - 5, so weight 8 needs order 13
+    for order in ("8", "12"):
+        code, _, err = run_cli(capsys, "run", "conformal", "--order", order)
+        assert code == 2
+        assert "order" in err
+    code, _, _ = run_cli(capsys, "run", "conformal", "--order", "13")
+    assert code == 0
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("crprime ")]
+
+
+def test_readme_cli_examples_exit_zero(capsys):
+    examples = _readme_cli_examples()
+    assert examples
+    for argv in examples:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 # -- negative controls ------------------------------------------------------------

@@ -8,11 +8,13 @@ from crprime.gauss import G
 from crprime.heisenberg import (
     conformal_battery,
     flat_model,
+    flat_series_structure,
     graded_conformal_check,
 )
-from crprime.poly import P_ONE, Z, ZB, Poly
+from crprime.poly import P_ONE, U, Z, ZB, Poly
 from crprime.report import has_failure
-from crprime.structure import conformal_change, q_prime, torsion_transform
+from crprime.series import GradedSeries
+from crprime.structure import StructureError, conformal_change, q_prime, torsion_transform
 
 
 def test_battery_green():
@@ -48,11 +50,13 @@ def test_graded_dual_path_order():
     assert all(r.status == "pass" for r in reps)
 
 
-def test_exact_mode_rejects_series():
-    from crprime.series import GradedSeries
-    from crprime.structure import StructureError
-    from crprime.poly import U
-
-    st = flat_model().structure
+@pytest.mark.parametrize("graded", [False, True], ids=["exact", "graded"])
+def test_mode_mismatch_is_rejected(graded):
+    # Upsilon must be of the structure's own mode: a series on an exact
+    # structure is rejected, and so is a log expression on a graded one
+    if graded:
+        st, ups = flat_series_structure(8), flat_model().log_green
+    else:
+        st, ups = flat_model().structure, GradedSeries(U, 8)
     with pytest.raises(StructureError):
-        conformal_change(st, GradedSeries(U, 8))
+        conformal_change(st, ups)

@@ -132,8 +132,8 @@ def test_series_scalar_coframe():
         czb=S(Poly.const(i * G("1/2")) * Z, n),
         cu=S(G("1/2"), n),
     )
-    T = reeb_field(th, invert_order=n)
+    T = reeb_field(th)
     assert T.vu.poly == Poly.const(2)
-    frame = AdaptedCoframe(th, one_form(cz=S(1, n)), invert_order=n)
+    frame = AdaptedCoframe(th, one_form(cz=S(1, n)))
     for name, resid in duality_residuals(frame):
         assert resid == 0 or resid.is_zero(), name

@@ -324,18 +324,19 @@ def test_low_weight_corruption_fails_suite(md):
 def test_suite_solves_each_structure_once(monkeypatch):
     # the example at its own order (shared by the series checks and the
     # probe), the pattern order, and one solve per weight block of E
-    # (6, 8, 10, 12) shared by every key
-    calls = []
+    # (6, 8, 10, 12) shared by every key; each order is that of the solved theta
+    orders = []
     solve = moser.solve_structure
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("invert_order"))
+        orders.append(args[0].component(2).order)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(moser, "solve_structure", counted)
     moser._solve.cache_clear()
     moser_suite(example_data())
-    assert len(calls) == 6, calls
+    assert len(orders) == 6, orders
+    assert orders == [13, 13, 13, 14, 16, 15]
 
 
 @pytest.mark.parametrize("data", ["example", "moser-weight4"])
