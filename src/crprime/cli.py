@@ -1,15 +1,20 @@
 """Command line driver: run verification suites, print series expansions.
 
-Reports are deterministic for a fixed config and seed: suites run one after
-another, assembly is sorted by check id, and nothing wall-clock dependent
-enters the output (timings go to stderr, opt-in).  Exit codes:
+Reports are deterministic for a fixed config and seed: each suite runs once,
+in this process or in the one forked worker of `run all`, assembly is sorted
+by check id, and nothing wall-clock dependent enters the output (timings go
+to stderr, opt-in).  Exit codes:
 0 all checks pass, 1 at least one failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import pickle
+import signal
 import sys
 import time
 
@@ -17,6 +22,7 @@ from .gauss import G
 from .heisenberg import (
     GRADED_FLOOR,
     conformal_battery,
+    flat_model,
     graded_conformal_check,
     heisenberg_suite,
     q3_identity,
@@ -47,6 +53,11 @@ QUANTITY_KEYS = {
 CORRUPT_OWNER = {"green-power": "heisenberg", "moser-weight4": "moser"}
 
 _CONFIG_KEYS = ("order", "tol", "grid", "seed", "format")
+
+# The suites that `run all` hands to its one forked worker while this process
+# runs the others: moser + sphere take about as much CPU as heisenberg +
+# conformal, so the two processes finish at about the same time.
+_WORKER_SUITES = ("heisenberg", "conformal")
 
 
 class UsageError(Exception):
@@ -127,28 +138,112 @@ def _corrupted_moser_data() -> MoserData:
                      extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
 
 
-def _suite_reports(name, settings, golden=None, corrupt=None) -> list:
-    seed = settings.get("seed", 0)
+def _suite_job(name, settings, golden=None, corrupt=None):
+    """Check the settings of suite `name`; return a function that runs it.
+
+    `run all` makes every job before it runs any, so a usage error exits 2
+    before any suite work and names the first suite, in order, it concerns.
+    """
     if name == "moser":
-        md = _corrupted_moser_data() if corrupt == "moser-weight4" else None
-        return moser_suite(md, table=golden)
+        return lambda: moser_suite(
+            _corrupted_moser_data() if corrupt == "moser-weight4" else None, table=golden)
     if name == "heisenberg":
-        reports = heisenberg_suite()
-        if corrupt == "green-power":
-            reports = [r for r in reports if r.check_id != "heisenberg.q3_identity"]
-            reports.append(q3_identity(wrong_power=True))
-        return reports
+        def heisenberg_job():
+            reports = heisenberg_suite()
+            if corrupt == "green-power":
+                reports = [r for r in reports if r.check_id != "heisenberg.q3_identity"]
+                reports.append(q3_identity(wrong_power=True))
+            return reports
+        return heisenberg_job
     if name == "conformal":
         order = settings.get("order", 16)
         if order < GRADED_FLOOR:
             raise UsageError(f"conformal suite needs --order >= {GRADED_FLOOR}")
-        return conformal_battery() + graded_conformal_check(order=order)
+        return lambda: conformal_battery() + graded_conformal_check(order=order)
     if name == "sphere":
         # --tol alone leaves the delta ball on its own default grid
         config = _quad_config(settings)
         delta_config = config if "grid" in settings else None
-        return sphere_suite(config, seed=seed, delta_config=delta_config)
+        return lambda: sphere_suite(config, seed=settings.get("seed", 0),
+                                    delta_config=delta_config)
     raise UsageError(f"unknown suite {name!r}")
+
+
+def _timed(jobs) -> dict:
+    """{name: (reports, (wall s, cpu s))} for jobs run in this process."""
+    out = {}
+    for name, job in jobs.items():
+        wall, cpu = time.monotonic(), time.process_time()
+        reports = job()
+        out[name] = (reports, (time.monotonic() - wall, time.process_time() - cpu))
+    return out
+
+
+def _cpus_available() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(jobs):
+    """Fork a child that runs `jobs`; return its pid and its result pipe.
+
+    The child sends _timed(jobs), or the exception it raised, as one pickle
+    and ends with os._exit: it never returns into the caller's stack.  Fork,
+    not spawn: the child needs no second import of crprime, and crprime
+    starts no threads that a fork could leave broken.
+    """
+    rfd, wfd = os.pipe()
+    gc.freeze()  # the child's collector then leaves the shared pages alone
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, os.fdopen(rfd, "rb")
+    code = 1
+    try:
+        os.close(rfd)
+        try:
+            result = _timed(jobs)
+        except Exception as exc:
+            result = exc
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_jobs(jobs) -> dict:
+    """_timed(jobs), with the _WORKER_SUITES jobs in one forked worker.
+
+    The worker is forked only when there is more than one job and a second
+    CPU to run it on.  This process always runs its own jobs before it
+    waits, and it reaps the worker on every path.
+    """
+    forked = {}
+    if len(jobs) > 1 and hasattr(os, "fork") and _cpus_available() > 1:
+        forked = {name: job for name, job in jobs.items() if name in _WORKER_SUITES}
+    if not forked:
+        return _timed(jobs)
+    flat_model()  # built once, before the fork, for both processes
+    pid, pipe = _fork_worker(forked)
+    with pipe:
+        try:
+            results = _timed({name: job for name, job in jobs.items() if name not in forked})
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+            gc.unfreeze()
+    if status != 0 or not data:
+        raise RuntimeError(f"the worker running {' and '.join(forked)} ended without a "
+                           f"result (exit code {os.waitstatus_to_exitcode(status)})")
+    worker = pickle.loads(data)
+    if isinstance(worker, Exception):
+        raise worker
+    return {**results, **worker}
 
 
 def run_command(args) -> int:
@@ -166,18 +261,16 @@ def run_command(args) -> int:
             raise UsageError(f"cannot read golden file: {exc}")
 
     names = ("moser", "heisenberg", "conformal", "sphere") if args.suite == "all" else (args.suite,)
-    # process_time counts every thread, so CPU spent off the main thread shows
     setup_cpu = time.process_time()
-    reports = []
-    timings = {}
-    for name in names:
-        wall, cpu = time.monotonic(), time.process_time()
-        reports += _suite_reports(name, settings, golden=golden, corrupt=args.corrupt)
-        timings[name] = (time.monotonic() - wall, time.process_time() - cpu)
+    jobs = {name: _suite_job(name, settings, golden=golden, corrupt=args.corrupt)
+            for name in names}
+    results = _run_jobs(jobs)
     if args.timings:
         print(f"setup: cpu {setup_cpu:.2f}s", file=sys.stderr)
-        for name, (wall, cpu) in timings.items():
+        for name in names:
+            wall, cpu = results[name][1]
             print(f"{name}: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
+    reports = [r for name in names for r in results[name][0]]
 
     meta = {"suite": args.suite, "seed": settings.get("seed", 0)}
     if "grid" in settings:

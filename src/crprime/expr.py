@@ -272,12 +272,13 @@ class Atom:
 
     registry: dict = {}
 
-    __slots__ = ("name", "arg", "conj_name")
+    __slots__ = ("name", "arg", "conj_name", "_dlog")
 
     def __init__(self, name, arg, conj_name):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "conj_name", conj_name)
+        object.__setattr__(self, "_dlog", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
@@ -298,7 +299,10 @@ class Atom:
         return cls.registry[name]
 
     def dlog(self, var):
-        return self.arg.diff(var) / self.arg
+        # arg never changes, so each var's quotient is computed once
+        if var not in self._dlog:
+            self._dlog[var] = self.arg.diff(var) / self.arg
+        return self._dlog[var]
 
 
 Atom.register("log_s", RX_S, "log_s")

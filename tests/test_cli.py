@@ -1,13 +1,15 @@
 """Driver behavior: exit codes, determinism, config handling, negative controls."""
 
 import json
+import os
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from crprime import heisenberg
-from crprime.cli import main
+from crprime import cli, heisenberg
+from crprime.cli import UsageError, main
 from crprime.report import recorded, reports_to_json, reports_to_text
 from helpers import reports_from_json
 
@@ -96,12 +98,29 @@ def test_repeated_check_id_is_rejected():
             emit([rep, other, rep])
 
 
-def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(capsys, monkeypatch):
-    built = []
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """`run all` takes the forked path, however many CPUs the test machine has."""
+    monkeypatch.setattr(cli, "_cpus_available", lambda: 2)
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):  # no worker is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(
+        capsys, monkeypatch, tmp_path, forked):
+    # a file, not a list, so that a build in the forked worker is seen too
+    built = tmp_path / "built"
+    built.write_text("")
 
     class CountingFlatModel(heisenberg.FlatModel):
         def __init__(self):
-            built.append(self)
+            with built.open("a") as f:
+                f.write(f"{os.getpid()}\n")
             super().__init__()
 
     monkeypatch.setattr(heisenberg, "FlatModel", CountingFlatModel)
@@ -110,12 +129,70 @@ def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(capsys, mon
                              "--grid", FAST_GRID, "--timings")
     heisenberg.flat_model.cache_clear()
     assert code == 0
-    assert len(built) == 1
+    assert built.read_text().splitlines() == [str(os.getpid())]
     assert [line.split(":")[0] for line in err.splitlines()] == [
         "setup", "moser", "heisenberg", "conformal", "sphere"]
     ids = [c["check_id"] for c in json.loads(out)["checks"]]
     assert len(ids) == len(set(ids))
     assert ids.count("conformal.graded_qprime") == 1
+
+
+def test_run_all_is_the_sorted_union_of_the_single_suite_runs(capsys, monkeypatch, forked):
+    code, forked_out, _ = run_cli(capsys, "run", "all", "--format", "json", "--grid", FAST_GRID)
+    assert code == 0
+    union = []
+    for suite in ("moser", "heisenberg", "conformal", "sphere"):
+        code, out, _ = run_cli(capsys, "run", suite, "--format", "json", "--grid", FAST_GRID)
+        assert code == 0
+        union += json.loads(out)["checks"]
+    assert json.loads(forked_out)["checks"] == sorted(union, key=lambda c: c["check_id"])
+
+    # one CPU: the same loop in this process, with the same bytes
+    monkeypatch.setattr(cli, "_cpus_available", lambda: 1)
+    monkeypatch.setattr(os, "fork", None, raising=False)
+    assert run_cli(capsys, "run", "all", "--format", "json", "--grid", FAST_GRID) == (
+        0, forked_out, "")
+
+
+def test_run_all_order_12_exits_2_with_the_conformal_message(capsys, forked):
+    code, out, err = run_cli(capsys, "run", "all", "--order", "12")
+    assert (code, out) == (2, "")
+    assert err == f"error: conformal suite needs --order >= {heisenberg.GRADED_FLOOR}\n"
+
+
+def test_worker_errors_reach_the_parent(capsys, monkeypatch, forked):
+    def refuse():
+        raise UsageError("raised in the worker")
+
+    monkeypatch.setattr(cli, "conformal_battery", refuse)
+    assert run_cli(capsys, "run", "all") == (2, "", "error: raised in the worker\n")
+
+    def fail():
+        raise ArithmeticError("worker arithmetic")
+
+    monkeypatch.setattr(cli, "conformal_battery", fail)
+    with pytest.raises(ArithmeticError, match="worker arithmetic"):
+        main(["run", "all"])
+
+
+@needs_fork
+def test_run_all_fails_when_the_worker_dies_without_a_result(monkeypatch, forked):
+    monkeypatch.setattr(cli, "heisenberg_suite", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"heisenberg and conformal .*exit code 3"):
+        main(["run", "all", "--grid", FAST_GRID])
+
+
+@needs_fork
+def test_run_all_kills_the_worker_when_its_own_suite_raises(monkeypatch, forked):
+    def boom(*args, **kwargs):
+        raise ArithmeticError("raised in the parent")
+
+    monkeypatch.setattr(cli, "heisenberg_suite", lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "moser_suite", boom)
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError, match="raised in the parent"):
+        main(["run", "all"])
+    assert time.monotonic() - start < 30
 
 
 def test_timings_go_to_stderr_as_setup_cpu_and_suite_wall_and_cpu(capsys):

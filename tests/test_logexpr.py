@@ -171,3 +171,15 @@ def test_registry_guards():
     except ValueError:
         raised = True
     assert raised
+
+
+def test_dlog_is_cached_per_atom_and_var():
+    from crprime import heisenberg, sphere
+
+    heisenberg._battery_cases()
+    sphere.chart_upsilon()  # register the engine's other atoms too
+    for atom in list(Atom.registry.values()):
+        for var in ("z", "zb", "u"):
+            first = atom.dlog(var)
+            assert first == atom.arg.diff(var) / atom.arg
+            assert atom.dlog(var) is first
