@@ -67,7 +67,8 @@ class UsageError(Exception):
 def _parse_config_file(path) -> dict:
     out = {}
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -5,6 +5,11 @@ with strictly increasing index tuples.  Component scalars are duck-typed:
 graded series, closed-form expressions, and bare rationals all work, as long
 as they support +, -, *, conj, diff, is_zero.  Mixing kinds inside one form
 is the caller's problem.
+
+AdaptedCoframe builds the frame (T, Z1, Z1b) dual to a coframe (theta, theta1,
+theta1b) without a matrix inverse: T and Z1 are cross products of the other
+two forms' components, each scaled to pair to 1 with its own form, and
+Z1b = conj Z1 because theta is real.  reeb_field shares the scaling.
 """
 
 from __future__ import annotations
@@ -254,6 +259,19 @@ def evaluate(form: DifferentialForm, *vectors) -> object:
     return out.comps.get((), 0)
 
 
+def _cross(a: DifferentialForm, b: DifferentialForm) -> VectorField:
+    """The vector a x b of two 1-forms' components; both forms vanish on it."""
+    a0, a1, a2 = (a.component(i) for i in range(3))
+    b0, b1, b2 = (b.component(i) for i in range(3))
+    return VectorField(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _normalised(v: VectorField, form: DifferentialForm) -> VectorField:
+    """v / form(v): the multiple of v on which form is 1."""
+    scale = invert_scalar(evaluate(form, v))
+    return VectorField(scale * v.vz, scale * v.vzb, scale * v.vu)
+
+
 def reeb_field(theta: DifferentialForm) -> VectorField:
     """The unique T with theta(T) = 1 and dtheta(T, .) = 0."""
     dth = exterior_d(theta)
@@ -261,64 +279,38 @@ def reeb_field(theta: DifferentialForm) -> VectorField:
     v = VectorField(
         dth.component(1, 2), -dth.component(0, 2), dth.component(0, 1)
     )
-    norm = evaluate(theta, v)
-    scale = invert_scalar(norm)
-    return VectorField(scale * v.vz, scale * v.vzb, scale * v.vu)
+    return _normalised(v, theta)
 
 
 class AdaptedCoframe:
-    """Coframe (theta, theta1, theta1b) with its dual frame (T, Z1, Z1b)."""
+    """Coframe (theta, theta1, theta1b) with its dual frame (T, Z1, Z1b).
+
+    theta is real, so theta1b = conj theta1 and Z1b = conj Z1.
+    """
 
     __slots__ = ("theta", "theta1", "theta1b", "T", "Z1", "Z1b")
 
     def __init__(self, theta, theta1):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "theta1b", theta1.conj())
-        M = [
-            [self.theta.component(i) for i in range(3)],
-            [self.theta1.component(i) for i in range(3)],
-            [self.theta1b.component(i) for i in range(3)],
-        ]
-        det = (
-            M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-        )
-        dinv = invert_scalar(det)
-        cols = []
-        for a in range(3):
-            col = []
-            for i in range(3):
-                # inverse[i][a] = cofactor(a, i) / det
-                r = [x for x in range(3) if x != a]
-                c = [x for x in range(3) if x != i]
-                minor = M[r[0]][c[0]] * M[r[1]][c[1]] - M[r[0]][c[1]] * M[r[1]][c[0]]
-                sign = 1 if (a + i) % 2 == 0 else -1
-                col.append(dinv * minor if sign == 1 else -(dinv * minor))
-            cols.append(VectorField(*col))
-        object.__setattr__(self, "T", cols[0])
-        object.__setattr__(self, "Z1", cols[1])
-        object.__setattr__(self, "Z1b", cols[2])
+        theta1b = theta1.conj()
+        T = _normalised(_cross(theta1, theta1b), theta)
+        Z1 = _normalised(_cross(theta1b, theta), theta1)
+        for name, value in zip(self.__slots__, (theta, theta1, theta1b, T, Z1, Z1.conj())):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdaptedCoframe is immutable")
 
     def expand_in_coframe(self, form: DifferentialForm) -> dict:
-        """Components of a form against theta, theta1, theta1b and their wedges."""
+        """Components of a 1- or 2-form against theta, theta1, theta1b and their wedges."""
         T, Z1, Z1b = self.T, self.Z1, self.Z1b
-        if form.degree == 0:
-            return {"1": form.comps.get((), 0)}
         if form.degree == 1:
             return {
                 "theta": evaluate(form, T),
                 "theta1": evaluate(form, Z1),
                 "theta1b": evaluate(form, Z1b),
             }
-        if form.degree == 2:
-            return {
-                "theta^theta1": evaluate(form, T, Z1),
-                "theta^theta1b": evaluate(form, T, Z1b),
-                "theta1^theta1b": evaluate(form, Z1, Z1b),
-            }
-        return {"theta^theta1^theta1b": evaluate(form, T, Z1, Z1b)}
+        return {
+            "theta^theta1": evaluate(form, T, Z1),
+            "theta^theta1b": evaluate(form, T, Z1b),
+            "theta1^theta1b": evaluate(form, Z1, Z1b),
+        }

@@ -53,6 +53,10 @@ CHART_DENOMINATOR = (P_ONE + Z * ZB) * (P_ONE + Z * ZB) + U * U
 
 SIXTEEN_PI_SQ = 16 * math.pi**2
 
+# the exact value pi takes wherever an exact scalar is evaluated at a point;
+# dyadic, so the compiled evaluation at a dyadic probe sees exact inputs
+PI_STAND_IN = G(rat(25, 8))
+
 
 def chart_factor() -> RatExpr:
     """The conformal factor 4/((1 + z zb)^2 + u^2) relating the two contact forms."""
@@ -113,7 +117,7 @@ def chart_reports() -> list:
     ))
 
     # closed-form constant; certified through the total integral, not asserted here
-    origin = {"z": G(0), "zb": G(0), "u": G(0), "pi": G(rat(355, 113))}
+    origin = {"z": G(0), "zb": G(0), "u": G(0), "pi": PI_STAND_IN}
     rval = hat.R.eval(origin, G(1)) if isinstance(hat.R, RatExpr) else hat.R
     out.append(recorded(
         "sphere.chart.curvature_value",
@@ -356,7 +360,7 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
     if not isinstance(e, RatExpr):
         raise ValueError(f"cannot compile {type(e).__name__} to a chart integrand")
 
-    origin = {"z": G(0), "zb": G(0), "u": G(0), "pi": G(rat(25, 8))}
+    origin = {"z": G(0), "zb": G(0), "u": G(0), "pi": PI_STAND_IN}
     singular = any(f.eval(origin) == G(0) for f in e.den)
     if singular and origin_in_domain:
         if singular_exponent is None:
@@ -404,8 +408,7 @@ def _dyadic_probe(rng):
 
     z has half-integer parts, so z zb is dyadic; u and s come from the
     one-parameter family u = m(t^2-1)/2t, s = m(t^2+1)/2t with t a power of
-    two, which keeps s exactly rational and dyadic.  The pi stand-in 25/8 is
-    dyadic too, so the compiled evaluation sees exact inputs.
+    two, which keeps s exactly rational and dyadic.  pi is PI_STAND_IN.
     """
     while True:
         p, q = rng.randint(-8, 8), rng.randint(-8, 8)
@@ -416,7 +419,7 @@ def _dyadic_probe(rng):
     t = rng.choice([2, 4, 8])
     u = m * (t * t - 1) / (2 * t)
     s = m * (t * t + 1) / (2 * t)
-    point = {"z": z, "zb": z.conj(), "u": G(u), "pi": G(rat(25, 8))}
+    point = {"z": z, "zb": z.conj(), "u": G(u), "pi": PI_STAND_IN}
     return point, G(s)
 
 
@@ -429,7 +432,7 @@ def probe_report(ci: ChartIntegrand, check_id: str, seed=0) -> VerificationRepor
         exact = ci.exact.eval(point, s_val)
         ev = complex(float(exact.re), float(exact.im))
         cv = float(ci.fn(float(point["z"].re), float(point["z"].im),
-                         float(point["u"].re), pi_value=25 / 8))
+                         float(point["u"].re), pi_value=float(PI_STAND_IN.re)))
         err = abs(cv - ev) / (abs(ev) or 1)
         worst = max(worst, err)
     return check_true(

@@ -9,9 +9,15 @@ component) and scalar curvature R, by reading coefficients out of
     d g      = g (omega + conj omega)
     d omega  = R g theta1 ^ theta1b   (mod theta)
 
+The frame (T, Z1, Z1b) dual to (theta, theta1, theta1b) comes from
+forms.AdaptedCoframe: T and Z1 are cross products of the coframe's
+components, and Z1b = conj Z1 because theta is real.  The structure keeps
+that frame once and reads theta, theta1, theta1b, T, Z1 and Z1b through it.
+
 All index plumbing lives in covariant_derivative / _cov_step: a lower 1 index
 picks up -omega(X), a lower 1b picks up -conj(omega)(X), upper indices the
-opposite signs, and raising is always by g^{1 1b}.
+opposite signs, and raising is always by g^{1 1b}.  The pair
+(omega(X), conj(omega)(X)) for X = Z1, Z1b is evaluated once per solve.
 """
 
 from __future__ import annotations
@@ -44,47 +50,36 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class PseudohermitianStructure:
-    theta: DifferentialForm
-    theta1: DifferentialForm
-    theta1b: DifferentialForm
     frame: AdaptedCoframe
     g: object
     ginv: object
     omega: DifferentialForm
     A: object  # A^1_{1b}
     R: object
-    # connection coefficients omega(T), omega(Z1), omega(Z1b), cached
-    conn: tuple = field(default=None, repr=False)
+    # (omega(X), conj(omega)(X)) keyed by the token "1" or "1b" naming X
+    conn: dict = field(repr=False)
 
-    @property
-    def T(self):
-        return self.frame.T
-
-    @property
-    def Z1(self):
-        return self.frame.Z1
-
-    @property
-    def Z1b(self):
-        return self.frame.Z1b
-
-    def omega_at(self, token):
-        """omega(X) for X the frame vector named by '0', '1', '1b'."""
-        return self.conn[{"0": 0, "1": 1, "1b": 2}[token]]
+    theta = property(lambda self: self.frame.theta)
+    theta1 = property(lambda self: self.frame.theta1)
+    theta1b = property(lambda self: self.frame.theta1b)
+    T = property(lambda self: self.frame.T)
+    Z1 = property(lambda self: self.frame.Z1)
+    Z1b = property(lambda self: self.frame.Z1b)
 
 
 def solve_structure(theta, theta1_hint=None):
-    try:
-        T = reeb_field(theta)
-    except ZeroDivisionError as exc:
-        raise StructureError("theta is not a contact form (theta ^ dtheta = 0)") from exc
-
-    if theta1_hint is None:
+    theta1 = theta1_hint
+    if theta1 is None:
+        try:
+            T = reeb_field(theta)
+        except ZeroDivisionError as exc:
+            raise StructureError("theta is not a contact form (theta ^ dtheta = 0)") from exc
         # dz minus its Reeb component; adapted since theta1(T) = 0
         theta1 = one_form(cz=1) - T.vz * theta
-    else:
-        theta1 = theta1_hint
-    frame = AdaptedCoframe(theta, theta1)
+    try:
+        frame = AdaptedCoframe(theta, theta1)
+    except ZeroDivisionError as exc:
+        raise StructureError("theta, theta1 and theta1b are not a coframe") from exc
 
     dth = exterior_d(theta)
     c = frame.expand_in_coframe(dth)
@@ -108,15 +103,11 @@ def solve_structure(theta, theta1_hint=None):
     dom = exterior_d(omega)
     R = ginv * evaluate(dom, frame.Z1, frame.Z1b)
 
-    conn = (
-        evaluate(omega, frame.T),
-        evaluate(omega, frame.Z1),
-        evaluate(omega, frame.Z1b),
-    )
+    om1 = evaluate(omega, frame.Z1)
+    om1b = evaluate(omega, frame.Z1b)
+    # conj(omega)(X) = conj(omega(conj X))
+    conn = {"1": (om1, sc_conj(om1b)), "1b": (om1b, sc_conj(om1))}
     return PseudohermitianStructure(
-        theta=theta,
-        theta1=theta1,
-        theta1b=frame.theta1b,
         frame=frame,
         g=g,
         ginv=ginv,
@@ -174,42 +165,35 @@ def _tokenize(pattern: str):
     return toks
 
 
-def _cov_step(struct, value, counts, token):
+def _cov_step(struct, value, weights, token):
     """One covariant derivative of a tensor component.
 
-    counts = (lower-1, lower-1b, upper-1, upper-1b) of the input component.
+    weights = (k, kb): upper minus lower 1 indices and upper minus lower 1b
+    indices of the input component.  The result carries one more lower index.
     """
-    lo1, lo1b, up1, up1b = counts
+    k, kb = weights
     X = struct.Z1 if token == "1" else struct.Z1b
-    om = struct.omega_at(token)
-    # conj(omega)(X) = conj(omega(conj X))
-    omb = sc_conj(struct.omega_at("1b" if token == "1" else "1"))
+    om, omb = struct.conn[token]
     out = X.apply(value)
-    k = up1 - lo1
     if k and not sc_is_zero(om):
         out = out + k * (om * value)
-    kb = up1b - lo1b
     if kb and not sc_is_zero(omb):
         out = out + kb * (omb * value)
-    if token == "1":
-        counts = (lo1 + 1, lo1b, up1, up1b)
-    else:
-        counts = (lo1, lo1b + 1, up1, up1b)
-    return out, counts
+    return out, ((k - 1, kb) if token == "1" else (k, kb - 1))
 
 
 def covariant_derivative(struct, f, pattern: str):
     """f_{,pattern} with pattern like "1", "1b", "1b11"; leftmost applied first."""
     value = f
-    counts = (0, 0, 0, 0)
+    weights = (0, 0)
     for tok in _tokenize(pattern):
-        value, counts = _cov_step(struct, value, counts, tok)
+        value, weights = _cov_step(struct, value, weights, tok)
     return value
 
 
 def _raised_divergence(struct, value):
     """g^{1 1b} * covariant 1b-derivative of a lower-1 component."""
-    stepped, _ = _cov_step(struct, value, (1, 0, 0, 0), "1b")
+    stepped, _ = _cov_step(struct, value, (-1, 0), "1b")
     return struct.ginv * stepped
 
 
@@ -276,7 +260,7 @@ def pseudo_einstein_tensor(struct):
     """R_{,1} - i A^{1b}_{1,1b}; identically zero iff theta is pseudo-Einstein."""
     r1 = covariant_derivative(struct, struct.R, "1")
     abar = sc_conj(struct.A)  # A^{1b}_1: upper 1b, lower 1
-    stepped, _ = _cov_step(struct, abar, (1, 0, 0, 1), "1b")
+    stepped, _ = _cov_step(struct, abar, (-1, 1), "1b")
     return r1 - GR_I * stepped
 
 

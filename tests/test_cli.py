@@ -1,9 +1,11 @@
 """Driver behavior: exit codes, determinism, config handling, negative controls."""
 
+import gc
 import json
 import os
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -343,6 +345,17 @@ def test_config_file_errors_are_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "run", "sphere", "--config", str(tmp_path / "nope"))[0] == 2
     assert run_cli(capsys, "run", "sphere", "--grid", "96x40")[0] == 2
     assert run_cli(capsys, "run", "sphere", "--grid", "3x4x5")[0] == 2
+
+
+def test_config_file_is_closed(capsys, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "heisenberg", "--config", str(cfg)]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0"])

@@ -14,8 +14,12 @@ from crprime.forms import (
     wedge,
 )
 from crprime.gauss import G
+from crprime.heisenberg import _battery_cases, flat_model, flat_series_structure
+from crprime.moser import example_data, moser_structure
 from crprime.poly import U, Z, ZB, Poly
 from crprime.series import GradedSeries
+from crprime.sphere import sphere_structure_in_chart
+from crprime.structure import conformal_change
 from helpers import duality_residuals
 
 
@@ -95,6 +99,19 @@ def test_flat_frame_duality():
     f = RatExpr(Z * ZB - G(0, 1) * U)  # zeta
     assert frame.Z1b.apply(f).is_zero()
     assert frame.Z1.apply(f) == RatExpr(2 * ZB)
+    # the frames the solver builds: exact, graded, curved, Moser and a conformal hat
+    flat = flat_model().structure
+    graded = flat_series_structure(16)
+    hat = conformal_change(flat, dict(_battery_cases())["(1+zzb)^2"])
+    moser = moser_structure(example_data()).struct
+    for st in (flat, graded, sphere_structure_in_chart(), moser, hat):
+        for name, resid in duality_residuals(st.frame):
+            assert sc_is_zero(resid), name
+        Z1b, conj = st.frame.Z1b, st.frame.Z1.conj()
+        assert (Z1b.vz, Z1b.vzb, Z1b.vu) == (conj.vz, conj.vzb, conj.vu)
+    # T comes from the coframe, tracked as far as theta; the Reeb field of
+    # theta alone loses one order
+    assert graded.T.vu.order == 16
 
 
 def test_volume_orientation():

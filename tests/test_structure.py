@@ -6,6 +6,7 @@ from crprime.expr import LogExpr, RX_ONE, RX_S, ZETA, RatExpr, log_atom
 from crprime.forms import one_form, sc_conj, sc_is_zero
 from crprime.gauss import G
 from crprime.heisenberg import flat_model, flat_series_structure
+from crprime.moser import example_data, moser_theta
 from crprime.poly import P_ONE, PI, U, Z, ZB, Poly
 from crprime.series import GradedSeries
 from crprime.structure import (
@@ -73,6 +74,18 @@ def test_pattern_validation(flat):
 def test_noncontact_rejected():
     with pytest.raises(StructureError):
         solve_structure(one_form(cu=RatExpr(1)))
+
+
+def test_inadmissible_coframe_hint_rejected(flat):
+    # a hint with a theta component, and dz on the Moser form: dtheta then
+    # has theta ^ theta1 terms
+    with pytest.raises(StructureError, match="coframe hint not admissible"):
+        solve_structure(flat.theta, theta1_hint=flat.theta1 + flat.theta)
+    with pytest.raises(StructureError, match="coframe hint not admissible"):
+        solve_structure(moser_theta(example_data(), 13), theta1_hint=one_form(cz=1))
+    # theta1 = theta leaves no coframe to take a dual frame of
+    with pytest.raises(StructureError, match="not a coframe"):
+        solve_structure(flat.theta, theta1_hint=flat.theta)
 
 
 def test_sublaplacian_log_rho(flat):
