@@ -8,7 +8,9 @@ Two layers:
               (a + b s) rationalizes against its conjugate.
 
   LogExpr  -- finite sums  sum_k  c_k * prod_j log(f_j)^{p_jk}  with RatExpr
-              coefficients and log arguments drawn from a fixed atom registry.
+              coefficients; each log argument is an Atom, a value built once
+              beside the code that owns its argument (log s, log zeta,
+              log zetab and log 2pi here), and the keys hold the atoms.
               One derivative turns log f into f'/f, so curvature-type
               quantities collapse back to RatExpr automatically.
 
@@ -268,35 +270,28 @@ RX_S = RatExpr(nb=P_ONE)
 
 
 class Atom:
-    """A registered log argument; conj_name must point at the conjugate atom."""
+    """A log argument, built once beside the code that owns it.
 
-    registry: dict = {}
+    Atoms compare by identity; the name only sorts and prints LogExpr keys.
+    conj=None means arg is real, so the atom is its own conjugate; an atom
+    built with conj=other becomes other's conjugate too.
+    """
 
-    __slots__ = ("name", "arg", "conj_name", "_dlog")
+    __slots__ = ("name", "arg", "conj", "_dlog")
 
-    def __init__(self, name, arg, conj_name):
+    def __init__(self, name, arg, conj=None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "conj_name", conj_name)
+        object.__setattr__(self, "conj", self if conj is None else conj)
         object.__setattr__(self, "_dlog", {})
+        if conj is not None:
+            object.__setattr__(conj, "conj", self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
 
-    @classmethod
-    def register(cls, name, arg, conj_name):
-        if name in cls.registry:
-            existing = cls.registry[name]
-            if existing.arg != arg or existing.conj_name != conj_name:
-                raise ValueError(f"atom {name!r} already registered differently")
-            return existing
-        atom = cls(name, arg, conj_name)
-        cls.registry[name] = atom
-        return atom
-
-    @classmethod
-    def get(cls, name):
-        return cls.registry[name]
+    def __lt__(self, other):
+        return self.name < other.name
 
     def dlog(self, var):
         # arg never changes, so each var's quotient is computed once
@@ -305,17 +300,11 @@ class Atom:
         return self._dlog[var]
 
 
-Atom.register("log_s", RX_S, "log_s")
-Atom.register("log_zeta", RatExpr(na=ZETA), "log_zetab")
-Atom.register("log_zetab", RatExpr(na=ZETAB), "log_zeta")
-Atom.register("log_2pi", RatExpr(na=2 * PI), "log_2pi")
-
-
-def _merge_key(key, name, dp):
+def _merge_key(key, atom, dp):
     d = dict(key)
-    d[name] = d.get(name, 0) + dp
-    if d[name] == 0:
-        del d[name]
+    d[atom] = d.get(atom, 0) + dp
+    if d[atom] == 0:
+        del d[atom]
     return tuple(sorted(d.items()))
 
 
@@ -404,26 +393,18 @@ class LogExpr:
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
                 key = k1
-                for name, p in k2:
-                    key = _merge_key(key, name, p)
+                for atom, p in k2:
+                    key = _merge_key(key, atom, p)
                 c = c1 * c2
                 terms[key] = terms.get(key, RX_ZERO) + c
         return LogExpr(terms)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, GaussRational)):
-            other = RatExpr(other)
-        if isinstance(other, RatExpr):
-            inv = other.inverse()
-            return LogExpr({k: c * inv for k, c in self.terms.items()})
-        return NotImplemented
-
     def conj(self):
         terms = {}
         for key, c in self.terms.items():
-            nk = tuple(sorted((Atom.get(n).conj_name, p) for n, p in key))
+            nk = tuple(sorted((a.conj, p) for a, p in key))
             terms[nk] = terms.get(nk, RX_ZERO) + c.conj()
         return LogExpr(terms)
 
@@ -440,11 +421,11 @@ class LogExpr:
             dc = c.diff(var)
             if not dc.is_zero():
                 bump(key, dc)
-            for name, p in key:
-                dl = Atom.get(name).dlog(var)
+            for atom, p in key:
+                dl = atom.dlog(var)
                 if dl.is_zero():
                     continue
-                bump(_merge_key(key, name, -1), p * c * dl)
+                bump(_merge_key(key, atom, -1), p * c * dl)
         return LogExpr(terms)
 
     def exp(self):
@@ -464,7 +445,7 @@ class LogExpr:
             if not cc.is_real() or cc.re.denominator != 1:
                 raise ValueError("exp needs integer coefficients")
             n = int(cc.re)
-            base = Atom.get(key[0][0]).arg
+            base = key[0][0].arg
             if n >= 0:
                 num = num * base**n if n else num
             else:
@@ -476,11 +457,22 @@ class LogExpr:
             return "LogExpr(0)"
         bits = []
         for key, c in sorted(self.terms.items()):
-            mono = "*".join(f"{n}^{p}" if p > 1 else n for n, p in key) or "1"
+            mono = "*".join(f"{a.name}^{p}" if p > 1 else a.name for a, p in key) or "1"
             bits.append(f"{mono}: {c!r}")
         return "LogExpr{" + "; ".join(bits) + "}"
 
 
-def log_atom(name):
-    Atom.get(name)
-    return LogExpr({((name, 1),): RX_ONE})
+def _log(atom):
+    return LogExpr({((atom, 1),): RX_ONE})
+
+
+def log_atom(name, arg):
+    """log(arg) over a new atom for a real arg; atoms compare by identity."""
+    return _log(Atom(name, arg))
+
+
+LOG_S = log_atom("log_s", RX_S)
+LOG_2PI = log_atom("log_2pi", RatExpr(na=2 * PI))
+_ZETA_ATOM = Atom("log_zeta", RatExpr(na=ZETA))
+LOG_ZETA = _log(_ZETA_ATOM)
+LOG_ZETAB = _log(Atom("log_zetab", RatExpr(na=ZETAB), _ZETA_ATOM))

@@ -14,7 +14,7 @@ Z1b = conj Z1 because theta is real.  reeb_field shares the scaling.
 
 from __future__ import annotations
 
-from .expr import LogExpr, RatExpr
+from .expr import RatExpr
 from .gauss import GaussRational, rat
 from .series import GradedSeries
 
@@ -46,11 +46,6 @@ def invert_scalar(x):
         return x.invert()
     if isinstance(x, RatExpr):
         return x.inverse()
-    if isinstance(x, LogExpr):
-        r = x.as_rat()
-        if r is None:
-            raise ValueError("cannot invert a scalar still carrying log terms")
-        return LogExpr.from_rat(r.inverse())
     if isinstance(x, GaussRational):
         return x.inverse()
     if isinstance(x, int):
@@ -175,22 +170,10 @@ class VectorField:
             df = sc_diff(f, var)
             term = v * df
             out = term if isinstance(out, int) and out == 0 else out + term
-        if isinstance(out, int):
-            return _zero_like(f)
         return out
 
     def __repr__(self):
         return f"VectorField({self.vz!r}, {self.vzb!r}, {self.vu!r})"
-
-
-def _zero_like(scalar):
-    if isinstance(scalar, GradedSeries):
-        return GradedSeries(0, scalar.order)
-    if isinstance(scalar, RatExpr):
-        return RatExpr()
-    if isinstance(scalar, LogExpr):
-        return LogExpr({})
-    return 0
 
 
 def form_from_scalar(f):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .expr import RX_ONE, RX_S, ZETA, Atom, LogExpr, RatExpr, log_atom
+from .expr import LOG_2PI, LOG_S, LOG_ZETA, RX_ONE, RX_S, ZETA, LogExpr, RatExpr, log_atom
 from .forms import one_form
 from .gauss import GR_I, G as GQ
 from .poly import P_ONE, PI, U, Z, ZB, Poly
@@ -48,10 +48,8 @@ class FlatModel:
         )
         object.__setattr__(self, "structure", solve_structure(theta))
         object.__setattr__(self, "green", RX_ONE / (RatExpr(2 * PI) * RX_S))
-        object.__setattr__(
-            self, "log_green", -(log_atom("log_2pi")) - log_atom("log_s")
-        )
-        object.__setattr__(self, "log_rho", HALF * log_atom("log_s"))
+        object.__setattr__(self, "log_green", -LOG_2PI - LOG_S)
+        object.__setattr__(self, "log_rho", HALF * LOG_S)
 
     def __setattr__(self, name, value):
         raise AttributeError("FlatModel is immutable")
@@ -114,7 +112,7 @@ def q3_identity(wrong_power: bool = False) -> VerificationReport:
     """
     fm = flat_model()
     st = fm.structure
-    base = fm.log_green if not wrong_power else -(log_atom("log_2pi")) - 2 * log_atom("log_s")
+    base = fm.log_green if not wrong_power else -LOG_2PI - 2 * LOG_S
     d1 = covariant_derivative(st, base, "1")
     d2 = covariant_derivative(st, base, "11")
     resid = d2 - 2 * (d1 * d1)
@@ -142,8 +140,7 @@ def flat_torsion_of_hat() -> VerificationReport:
 
 def szego_candidate() -> RatExpr:
     """P'(log G) in closed form; the projection-kernel candidate up to 8 pi^2."""
-    val = flat_q2_terms()[0]
-    r = val.as_rat() if isinstance(val, LogExpr) else val
+    r = flat_q2_terms()[0].as_rat()
     if r is None:
         raise RuntimeError("P'(log G) did not collapse to a rational expression")
     return r
@@ -217,7 +214,7 @@ def heisenberg_suite() -> list:
     )
 
     # negative control: log s is not annihilated by the CR Laplacian
-    bad = cr_laplacian(st, log_atom("log_s"))
+    bad = cr_laplacian(st, LOG_S)
     bad_rat = bad.as_rat()
     want = RatExpr(-8 * Z * ZB) / RatExpr(ZETA * ZETA.conj())
     out.append(
@@ -231,7 +228,7 @@ def heisenberg_suite() -> list:
     )
 
     # second-derivative identity in the log-rho^4 form
-    lr4 = 2 * log_atom("log_s")
+    lr4 = 2 * LOG_S
     d1 = covariant_derivative(st, lr4, "1")
     d2 = covariant_derivative(st, lr4, "11")
     out.append(
@@ -250,7 +247,7 @@ def heisenberg_suite() -> list:
         ("re_zeta", LogExpr.from_rat(re_scalar(zeta_rx))),
         ("im_zeta", LogExpr.from_rat(im_scalar(zeta_rx))),
         ("re_zeta_sq", LogExpr.from_rat(re_scalar(zeta_rx * zeta_rx))),
-        ("re_log_zeta", re_scalar(log_atom("log_zeta"))),
+        ("re_log_zeta", re_scalar(LOG_ZETA)),
         ("u", LogExpr.from_rat(RatExpr(U))),
     ]
     for name, f in battery:
@@ -265,7 +262,7 @@ def heisenberg_suite() -> list:
     out.append(
         recorded(
             "heisenberg.p3_im_log_zeta",
-            residual_repr(p3_operator(st, im_scalar(log_atom("log_zeta")))),
+            residual_repr(p3_operator(st, im_scalar(LOG_ZETA))),
             "derived",
             "third-order operator applied to the log argument; engine value recorded",
         )
@@ -358,7 +355,7 @@ def heisenberg_suite() -> list:
         out.append(
             recorded(
                 f"heisenberg.q2_term.{nm}",
-                residual_repr(val.as_rat() if isinstance(val, LogExpr) else val),
+                residual_repr(val.as_rat()),
                 "derived",
                 "closed form of a Q2 decomposition term",
             )
@@ -401,24 +398,20 @@ def heisenberg_suite() -> list:
     return out
 
 
-_BATTERY_ATOMS = (
-    ("log_one_plus_zzb", P_ONE + Z * ZB),
-    ("log_one_plus_usq", P_ONE + U * U),
-    ("log_two_plus_re_z", 2 * P_ONE + Z + ZB),
-    ("log_one_plus_zzb_usq", P_ONE + Z * ZB + U * U),
-)
+# conformal factors of the battery; every argument is real
+LOG_ONE_PLUS_ZZB = log_atom("log_one_plus_zzb", RatExpr(P_ONE + Z * ZB))
+LOG_ONE_PLUS_USQ = log_atom("log_one_plus_usq", RatExpr(P_ONE + U * U))
+LOG_TWO_PLUS_RE_Z = log_atom("log_two_plus_re_z", RatExpr(2 * P_ONE + Z + ZB))
 
 
 def _battery_cases():
-    for name, poly in _BATTERY_ATOMS:
-        Atom.register(name, RatExpr(poly), name)  # all arguments are real
     fm = flat_model()
     return [
-        ("1+zzb", log_atom("log_one_plus_zzb")),
-        ("1+u^2", log_atom("log_one_plus_usq")),
-        ("2+z+zb", log_atom("log_two_plus_re_z")),
-        ("(1+zzb)^2", 2 * log_atom("log_one_plus_zzb")),
-        ("(1+zzb)(1+u^2)", log_atom("log_one_plus_zzb") + log_atom("log_one_plus_usq")),
+        ("1+zzb", LOG_ONE_PLUS_ZZB),
+        ("1+u^2", LOG_ONE_PLUS_USQ),
+        ("2+z+zb", LOG_TWO_PLUS_RE_Z),
+        ("(1+zzb)^2", 2 * LOG_ONE_PLUS_ZZB),
+        ("(1+zzb)(1+u^2)", LOG_ONE_PLUS_ZZB + LOG_ONE_PLUS_USQ),
         ("green^2", 2 * fm.log_green),
     ]
 

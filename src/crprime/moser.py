@@ -153,7 +153,7 @@ def _solve(md: MoserData, order: int) -> MoserStructure:
     # Levi form in the coordinate frame, then a^1 = g^{-1} conj(a_1)
     g0 = S(P_ONE - e.diff("z").diff("zb")) - lam * S(eu.diff("zb")) - lamb * S(eu.diff("z")) - lam * lamb * S(euu)
     a1up = g0.invert() * sc_conj(a1)
-    ii = GradedSeries.const(GR_I, order)
+    ii = GradedSeries(GR_I, order)
     hint = one_form(cz=S(P_ONE)) - theta * (ii * a1up)
     struct = solve_structure(theta, theta1_hint=hint)
     return MoserStructure(md=md, order=order, e=e, struct=struct, lam=lam, a1=a1, a1up=a1up, g0=g0)
@@ -402,8 +402,8 @@ def _flat_parts(form, order):
     cz, czb, cu = form.component(0), form.component(1), form.component(2)
     z = GradedSeries(Poly.var("z"), order)
     zb = GradedSeries(Poly.var("zb"), order)
-    ii = GradedSeries.const(GR_I, order)
-    two = GradedSeries.const(G(2), order)
+    ii = GradedSeries(GR_I, order)
+    two = GradedSeries(G(2), order)
     t0 = two * cu
     return {"theta0": t0, "dz": cz + ii * zb * cu, "dzb": czb - ii * z * cu}
 
@@ -498,13 +498,13 @@ def sublaplacian_pattern_reports(md: MoserData) -> list:
     czzb = D(z * zb) - S(zb) * cz - S(z) * czb
     czu = D(z * u) - S(u) * cz - S(z) * cu
     czbu = D(zb * u) - S(u) * czb - S(zb) * cu
-    cuu = (D(u * u) - S(Poly.monomial(G(2), 0, 0, 1)) * cu) * GradedSeries.const(HALF, o)
+    cuu = (D(u * u) - S(Poly.monomial(G(2), 0, 0, 1)) * cu) * GradedSeries(HALF, o)
     no_dz2 = D(z * z) - S(Poly.monomial(G(2), 1, 0, 0)) * cz
     no_dzb2 = D(zb * zb) - S(Poly.monomial(G(2), 0, 1, 0)) * czb
-    h = czzb * GradedSeries.const(HALF, o)
+    h = czzb * GradedSeries(HALF, o)
     iz = S(Poly.monomial(GR_I, 1, 0))
     izb = S(Poly.monomial(GR_I, 0, 1))
-    two = GradedSeries.const(G(2), o)
+    two = GradedSeries(G(2), o)
     h_uz = czu + two * iz * h
     h_uzb = czbu - two * izb * h
     h_u = cu - izb * cz + iz * czb
@@ -533,7 +533,7 @@ def display_identity_reports(md: MoserData) -> list:
     st = ms.struct
     o = ms.order
     S = lambda p: GradedSeries(p, o)
-    ii = GradedSeries.const(GR_I, o)
+    ii = GradedSeries(GR_I, o)
     a1 = ms.a1
     a1b = sc_conj(a1)
     a1up = ms.a1up
@@ -691,7 +691,7 @@ def fefferman_reports(md: MoserData) -> list:
         ),
         check_zero(
             "moser.fefferman.degree_three",
-            j_scaled - GradedSeries.const(G(8), j_base.order) * j_base,
+            j_scaled - GradedSeries(G(8), j_base.order) * j_base,
             "trivial",
             "determinant is homogeneous of degree 3 in the defining function",
         ),

@@ -35,10 +35,6 @@ class GradedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("GradedSeries is immutable")
 
-    @classmethod
-    def const(cls, c, order=INF):
-        return cls(Poly.const(c), order)
-
     # -- queries -----------------------------------------------------------
 
     def valuation(self):

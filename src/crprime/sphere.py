@@ -31,7 +31,7 @@ from typing import Callable, Optional
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from .expr import SIGMA, Atom, LogExpr, RatExpr, log_atom
+from .expr import SIGMA, LogExpr, RatExpr, log_atom
 from .forms import sc_diff, sc_is_zero
 from .gauss import GR_I, G, GaussRational, rat
 from .heisenberg import flat_model
@@ -56,6 +56,7 @@ SIXTEEN_PI_SQ = 16 * math.pi**2
 # the exact value pi takes wherever an exact scalar is evaluated at a point;
 # dyadic, so the compiled evaluation at a dyadic probe sees exact inputs
 PI_STAND_IN = G(rat(25, 8))
+EXACT_ORIGIN = {"z": G(0), "zb": G(0), "u": G(0), "pi": PI_STAND_IN}
 
 
 def chart_factor() -> RatExpr:
@@ -63,10 +64,9 @@ def chart_factor() -> RatExpr:
     return RatExpr(G(4)) / RatExpr(CHART_DENOMINATOR)
 
 
+@lru_cache(maxsize=1)
 def chart_upsilon() -> LogExpr:
-    # the argument is real, so the atom is its own conjugate
-    Atom.register("log_sphere_chart", chart_factor(), "log_sphere_chart")
-    return log_atom("log_sphere_chart")
+    return log_atom("log_sphere_chart", chart_factor())
 
 
 @lru_cache(maxsize=1)
@@ -117,8 +117,7 @@ def chart_reports() -> list:
     ))
 
     # closed-form constant; certified through the total integral, not asserted here
-    origin = {"z": G(0), "zb": G(0), "u": G(0), "pi": PI_STAND_IN}
-    rval = hat.R.eval(origin, G(1)) if isinstance(hat.R, RatExpr) else hat.R
+    rval = hat.R.eval(EXACT_ORIGIN, G(1))
     out.append(recorded(
         "sphere.chart.curvature_value",
         repr(rval),
@@ -360,8 +359,7 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
     if not isinstance(e, RatExpr):
         raise ValueError(f"cannot compile {type(e).__name__} to a chart integrand")
 
-    origin = {"z": G(0), "zb": G(0), "u": G(0), "pi": PI_STAND_IN}
-    singular = any(f.eval(origin) == G(0) for f in e.den)
+    singular = any(f.eval(EXACT_ORIGIN) == G(0) for f in e.den)
     if singular and origin_in_domain:
         if singular_exponent is None:
             raise ValueError(f"{label}: undeclared singularity at the origin")

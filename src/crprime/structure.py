@@ -198,14 +198,10 @@ def _raised_divergence(struct, value):
 
 
 def re_scalar(x):
-    if isinstance(x, int):
-        return x
     return (x + sc_conj(x)) * HALF
 
 
 def im_scalar(x):
-    if isinstance(x, int):
-        return 0
     return (x - sc_conj(x)) * G(0, "-1/2")
 
 

@@ -51,8 +51,8 @@ def log_eval(x, point, s_val, atom_values):
     total = GR_ZERO
     for key, c in x.terms.items():
         v = c.eval(point, s_val)
-        for name, p in key:
-            v = v * atom_values[name] ** p
+        for atom, p in key:
+            v = v * atom_values[atom.name] ** p
         total = total + v
     return total
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from crprime.expr import Atom, RatExpr, log_atom
+from crprime.expr import RatExpr
 from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.heisenberg import (
+    LOG_ONE_PLUS_ZZB,
     conformal_battery,
     flat_model,
     flat_series_structure,
@@ -26,8 +27,7 @@ def test_battery_green():
 def test_torsion_hand_oracle():
     # f = 1 + z zb: the law gives A-hat^1_{1b} = 2 i z^2 / f^3
     st = flat_model().structure
-    Atom.register("log_one_plus_zzb", RatExpr(P_ONE + Z * ZB), "log_one_plus_zzb")
-    ups = log_atom("log_one_plus_zzb")
+    ups = LOG_ONE_PLUS_ZZB
     want = RatExpr(Poly.const(G(0, 2)) * Z * Z) / RatExpr((P_ONE + Z * ZB) ** 3)
     pred = torsion_transform(st, ups)
     got = pred.as_rat() if hasattr(pred, "as_rat") else pred

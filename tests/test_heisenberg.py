@@ -3,7 +3,7 @@
 import random
 
 from crprime import heisenberg
-from crprime.expr import ZETA, RatExpr, log_atom
+from crprime.expr import LOG_S, ZETA, RatExpr
 from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.poly import P_ONE
@@ -74,7 +74,7 @@ def test_log_green_annihilated_by_laplacian_only_off_log():
     # L kills G itself but not log s; the suite's negative control, restated
     fm = flat_model()
     assert cr_laplacian(fm.structure, fm.green).is_zero()
-    bad = cr_laplacian(fm.structure, log_atom("log_s"))
+    bad = cr_laplacian(fm.structure, LOG_S)
     assert not bad.is_zero()
 
 

@@ -6,16 +6,19 @@ Z1 = d/dz + i*zb*d/du and its conjugate.
 
 import random
 
+from crprime import heisenberg, sphere
 from crprime.expr import (
+    LOG_2PI,
+    LOG_S,
+    LOG_ZETA,
+    LOG_ZETAB,
     RX_ONE,
     RX_S,
     SIGMA,
     ZETA,
     ZETAB,
-    Atom,
     LogExpr,
     RatExpr,
-    log_atom,
 )
 from crprime.gauss import G
 from crprime.poly import U, Z, ZB
@@ -60,13 +63,13 @@ def test_s_derivative():
 
 def test_z1_log_s():
     # Z1 log s = zb / zeta
-    dls = Z1(log_atom("log_s"))
+    dls = Z1(LOG_S)
     want = LogExpr.from_rat(RatExpr(ZB) / RatExpr(ZETA))
     assert (dls - want).is_zero()
 
 
 def test_z1_log_rho4():
-    log_rho4 = 2 * log_atom("log_s")
+    log_rho4 = 2 * LOG_S
     d = Z1(log_rho4)
     assert d == LogExpr.from_rat(2 * RatExpr(ZB) / RatExpr(ZETA))
     d2 = Z1(Z1(log_rho4))
@@ -74,7 +77,7 @@ def test_z1_log_rho4():
 
 
 def test_flat_sublaplacian_of_log_rho():
-    log_rho = G("1/2") * log_atom("log_s")
+    log_rho = G("1/2") * LOG_S
     lap = Z1(Z1b(log_rho)) + Z1b(Z1(log_rho))
     # expected z zb / s^2
     want = LogExpr.from_rat(RatExpr(Z * ZB) / RatExpr(SIGMA))
@@ -88,7 +91,7 @@ def test_harmonic_inverse_s():
 
 
 def test_log_zeta_kernel_pieces():
-    lz = log_atom("log_zeta")
+    lz = LOG_ZETA
     assert Z1b(lz).is_zero()  # zeta is CR-holomorphic
     w = re_scalar(lz)
     assert Z1(Z1(Z1b(w))).is_zero()
@@ -96,7 +99,7 @@ def test_log_zeta_kernel_pieces():
 
 
 def test_conj_symmetry():
-    x = log_atom("log_zeta") * RatExpr(Z) + log_atom("log_s") * RatExpr(U)
+    x = LOG_ZETA * RatExpr(Z) + LOG_S * RatExpr(U)
     assert x.conj().conj() == x
     y = re_scalar(x)
     assert y.conj() == y
@@ -104,7 +107,7 @@ def test_conj_symmetry():
 
 def test_exp_of_log_combination():
     # exp(2 log s - log zeta) = s^2 / zeta = zetab
-    e = (2 * log_atom("log_s") - log_atom("log_zeta")).exp()
+    e = (2 * LOG_S - LOG_ZETA).exp()
     assert e == RatExpr(ZETAB)
 
 
@@ -119,7 +122,7 @@ def test_dilation_homogeneity():
 
 def test_eval_probes_agree_with_structure():
     rng = random.Random(7)
-    x = log_atom("log_zeta") * RatExpr(Z + U) + RatExpr(ZB) / RatExpr(ZETA)
+    x = LOG_ZETA * RatExpr(Z + U) + RatExpr(ZB) / RatExpr(ZETA)
     y = x + x - x
     hits = 0
     while hits < 20:
@@ -135,7 +138,7 @@ def test_eval_probes_agree_with_structure():
 
 def test_eval_respects_conj():
     rng = random.Random(11)
-    x = log_atom("log_zeta") * RatExpr(Z) + log_atom("log_s") * RatExpr(U)
+    x = LOG_ZETA * RatExpr(Z) + LOG_S * RatExpr(U)
     for _ in range(10):
         point, s_val, atoms = random_probe(rng)
         try:
@@ -162,23 +165,39 @@ def test_probe_point_consistency():
         assert s_val * s_val == SIGMA.eval(point)
 
 
-def test_registry_guards():
-    assert Atom.get("log_s").conj_name == "log_s"
-    assert Atom.get("log_zeta").conj_name == "log_zetab"
-    try:
-        Atom.register("log_s", RX_ONE, "log_s")
-        raised = False
-    except ValueError:
-        raised = True
-    assert raised
+def _atom(log):
+    (((atom, _),),) = log.terms
+    return atom
+
+
+# every atom the engine builds, one LogExpr each
+ENGINE_LOGS = (
+    LOG_S,
+    LOG_ZETA,
+    LOG_ZETAB,
+    LOG_2PI,
+    heisenberg.LOG_ONE_PLUS_ZZB,
+    heisenberg.LOG_ONE_PLUS_USQ,
+    heisenberg.LOG_TWO_PLUS_RE_Z,
+    sphere.chart_upsilon(),
+)
+
+
+def test_atoms_pair_with_their_conjugates_and_print_apart():
+    zeta, zetab = _atom(LOG_ZETA), _atom(LOG_ZETAB)
+    assert zeta.conj is zetab and zetab.conj is zeta
+    for log in (LOG_S, LOG_2PI):
+        assert _atom(log).conj is _atom(log)
+    assert LOG_ZETA.conj() == LOG_ZETAB
+    # atoms compare by identity and sort by name: two with one name would
+    # print alike and have no fixed order in a key
+    names = [_atom(log).name for log in ENGINE_LOGS]
+    assert len(set(names)) == len(names)
+    assert sphere.chart_upsilon() is sphere.chart_upsilon()
 
 
 def test_dlog_is_cached_per_atom_and_var():
-    from crprime import heisenberg, sphere
-
-    heisenberg._battery_cases()
-    sphere.chart_upsilon()  # register the engine's other atoms too
-    for atom in list(Atom.registry.values()):
+    for atom in map(_atom, ENGINE_LOGS):
         for var in ("z", "zb", "u"):
             first = atom.dlog(var)
             assert first == atom.arg.diff(var) / atom.arg

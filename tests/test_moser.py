@@ -241,7 +241,7 @@ def test_flat_coframe_decomposition_roundtrip(md):
     half = G(1) / G(2)
     ihalf = G(0, 1) / G(2)
     # rebuild the coordinate components from the flat-coframe ones
-    cu = parts["theta0"] * GradedSeries.const(half, o)
+    cu = parts["theta0"] * GradedSeries(half, o)
     cz = parts["dz"] - GradedSeries(Poly.monomial(ihalf, 0, 1), o) * parts["theta0"]
     czb = parts["dzb"] + GradedSeries(Poly.monomial(ihalf, 1, 0), o) * parts["theta0"]
     assert (cu - ms.struct.theta.component(2)).is_zero()
@@ -283,7 +283,7 @@ def test_fefferman_flat_quarter():
 def test_fefferman_degree_three(md):
     j = fefferman_J(md)
     j2 = fefferman_J(md, scale=2)
-    assert (j2 - GradedSeries.const(G(8), j.order) * j).is_zero()
+    assert (j2 - GradedSeries(G(8), j.order) * j).is_zero()
 
 
 def test_fefferman_approximate_solution(md):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from crprime.expr import LogExpr, RX_ONE, RX_S, ZETA, RatExpr, log_atom
+from crprime.expr import LOG_2PI, LOG_S, LOG_ZETA, LOG_ZETAB, LogExpr, RX_ONE, RX_S, ZETA, RatExpr
 from crprime.forms import one_form, sc_conj, sc_is_zero
 from crprime.gauss import G
-from crprime.heisenberg import flat_model, flat_series_structure
+from crprime.heisenberg import LOG_ONE_PLUS_USQ, flat_model, flat_series_structure
 from crprime.moser import example_data, moser_theta
-from crprime.poly import P_ONE, PI, U, Z, ZB, Poly
+from crprime.poly import PI, U, Z, ZB, Poly
 from crprime.series import GradedSeries
 from crprime.structure import (
     StructureError,
@@ -89,7 +89,7 @@ def test_inadmissible_coframe_hint_rejected(flat):
 
 
 def test_sublaplacian_log_rho(flat):
-    lr = G("1/2") * log_atom("log_s")
+    lr = G("1/2") * LOG_S
     want = LogExpr.from_rat(RatExpr(Z * ZB) / RatExpr(ZETA * ZETA.conj()))
     assert (sublaplacian(flat, lr) - want).is_zero()
 
@@ -107,7 +107,7 @@ def test_p3_battery(flat):
         LogExpr.from_rat((zeta + zeta.conj()) * half),
         LogExpr.from_rat((zeta - zeta.conj()) * G(0, "-1/2")),
         LogExpr.from_rat((zeta * zeta + (zeta * zeta).conj()) * half),
-        (log_atom("log_zeta") + log_atom("log_zetab")) * half,
+        (LOG_ZETA + LOG_ZETAB) * half,
         LogExpr.from_rat(RatExpr(U)),
     ]
     for f in members:
@@ -121,7 +121,7 @@ def test_p3_u_squared(flat):
 
 
 def test_p_prime_log_green(flat):
-    lg = -(log_atom("log_2pi")) - log_atom("log_s")
+    lg = -LOG_2PI - LOG_S
     want = 16 * ((RatExpr(ZETA).inverse() ** 2 + RatExpr(ZETA.conj()).inverse() ** 2) * G("1/2"))
     got = p_prime(flat, lg)
     assert (got - want).is_zero()
@@ -142,7 +142,7 @@ def test_paneitz_conventions_agree(flat):
 
     for f in (
         LogExpr.from_rat(RatExpr(Z * ZB * U)),
-        log_atom("log_s"),
+        LOG_S,
         LogExpr.from_rat(RatExpr(U**3)),
     ):
         d = paneitz_intro(flat, f) - paneitz(flat, f)
@@ -154,10 +154,7 @@ def test_pseudo_einstein_flat(flat):
 
 
 def test_qprime_rhs_requires_pseudo_einstein(flat):
-    from crprime.expr import Atom
-
-    Atom.register("log_one_plus_usq", RatExpr(P_ONE + U * U), "log_one_plus_usq")
-    ups = log_atom("log_one_plus_usq")
+    ups = LOG_ONE_PLUS_USQ
     hat = conformal_change(flat, ups)
     assert not sc_is_zero(pseudo_einstein_tensor(hat))
     with pytest.raises(StructureError):
