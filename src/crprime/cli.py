@@ -315,8 +315,12 @@ def expand_command(args) -> int:
         return 0
 
     key = QUANTITY_KEYS[args.quantity]
-    md = MoserData() if args.flat else example_data()
-    series = quantity(moser_structure(md, order=order + 1), key)
+    e = (MoserData() if args.flat else example_data()).e
+    ms = moser_structure(e, order=order + 1)
+    series = quantity(ms, key)
+    if series.order < order + 1:
+        # derivatives cost the quantity orders; solve again above the loss
+        series = quantity(moser_structure(e, order=order + 1 + ms.order - series.order), key)
     shown = series.truncated(order + 1)
     if fmt == "json":
         doc = {
@@ -327,7 +331,7 @@ def expand_command(args) -> int:
         }
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        print(f"{args.quantity} = {shown.poly!r} + O({order + 1})")
+        print(f"{args.quantity} = {shown.poly!r} + O({shown.order})")
     return 0
 
 

@@ -15,7 +15,8 @@ repr.  Polynomials are treated as immutable once built.
 
 Each operation inserts its terms in the order term-by-term arithmetic would:
 a term that cancels is dropped and re-inserted at the end if it comes back.
-Floating-point evaluation (sphere.py) sums in this order.  A product or sum
+Floating-point evaluation (sphere.py) sorts the terms before it sums them, so
+no float depends on this order.  A product or sum
 with a 0 or 1 operand returns at once (0, the other operand, its truncation
 or its negation), with the terms in the order the term loop would give them.
 """

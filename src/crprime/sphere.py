@@ -342,13 +342,13 @@ def _eval_groups(groups, shape, mp, zp, up):
 
 
 def compile_integrand(e, label="integrand", singular_exponent=None,
-                      origin_in_domain=True, center=(0, 0, 0)) -> ChartIntegrand:
+                      center=(0, 0, 0)) -> ChartIntegrand:
     """Compile an exact scalar to a vectorized function of (x, y, u).
 
     A denominator factor vanishing at the origin is a pole on the domain: it
-    must be declared through singular_exponent (and be integrable, k < 4)
-    unless origin_in_domain is False.  Poles away from the origin are the
-    caller's responsibility, per the pole-free precondition.
+    must be declared through singular_exponent (and be integrable, k < 4).
+    Poles away from the origin are the caller's responsibility, per the
+    pole-free precondition.
 
     center (exact, as in bump_profile) is the point the polynomials are
     expanded about, which keeps the terms few and free of cancellation near
@@ -359,8 +359,7 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
     if not isinstance(e, RatExpr):
         raise ValueError(f"cannot compile {type(e).__name__} to a chart integrand")
 
-    singular = any(f.eval(EXACT_ORIGIN) == G(0) for f in e.den)
-    if singular and origin_in_domain:
+    if any(f.eval(EXACT_ORIGIN) == G(0) for f in e.den):
         if singular_exponent is None:
             raise ValueError(f"{label}: undeclared singularity at the origin")
         if singular_exponent >= 4:
@@ -594,9 +593,10 @@ def integral_reports(config: QuadratureConfig = None, seed=0) -> list:
     out.append(probe_report(ci, "sphere.compile.probe_qprime", seed=seed))
     out.append(decay_report(ci, "sphere.compile.decay"))
 
-    # the Green's function itself, probed away from its pole
+    # the Green's function itself, probed away from its pole; G = 1/(2 pi s)
+    # grows like rho^-2
     fm = flat_model()
-    green = compile_integrand(fm.green, label="green", origin_in_domain=False)
+    green = compile_integrand(fm.green, label="green", singular_exponent=2)
     out.append(probe_report(green, "sphere.compile.probe_green", seed=seed + 1))
 
     # a total that misses its budget or has no estimate becomes a failed check

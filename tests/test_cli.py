@@ -12,6 +12,7 @@ import pytest
 
 from crprime import cli, heisenberg
 from crprime.cli import UsageError, main
+from crprime.moser import example_data, moser_structure, quantity
 from crprime.report import recorded, reports_to_json, reports_to_text
 from helpers import reports_from_json
 
@@ -407,6 +408,22 @@ def test_expand_json_terms(capsys):
     assert doc["order"] == 7
     assert doc["terms"], "metric series should have terms at order 7"
     assert set(doc["terms"][0]) <= {"coeff", "z", "zb", "u", "pi"}
+
+
+@pytest.mark.parametrize("name", ["R", "A", "g", "pe_tensor"])
+def test_expand_prints_the_order_it_tracked(capsys, name):
+    # derivatives cost these quantities orders, so a solve at order 13 alone
+    # tracks them below O(13)
+    code, out, _ = run_cli(capsys, "expand", name, "--order", "12")
+    assert code == 0
+    assert out.strip().endswith("+ O(13)")
+    code, out, _ = run_cli(capsys, "expand", name, "--order", "12", "--format", "json")
+    assert code == 0
+    deep = quantity(moser_structure(example_data().e, 17), cli.QUANTITY_KEYS[name])
+    assert deep.order >= 13
+    got = {(t["coeff"], t["z"], t["zb"], t["u"]) for t in json.loads(out)["terms"]}
+    want = {(repr(c), ez, ezb, eu) for (ez, ezb, eu, _), c in deep.poly.truncate(13).coeffs()}
+    assert got == want
 
 
 @pytest.mark.parametrize("order", ["-1", "-5"])

@@ -103,7 +103,7 @@ def test_flat_frame_duality():
     flat = flat_model().structure
     graded = flat_series_structure(16)
     hat = conformal_change(flat, dict(_battery_cases())["(1+zzb)^2"])
-    moser = moser_structure(example_data()).struct
+    moser = moser_structure(example_data().e).struct
     for st in (flat, graded, sphere_structure_in_chart(), moser, hat):
         for name, resid in duality_residuals(st.frame):
             assert sc_is_zero(resid), name

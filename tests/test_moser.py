@@ -11,7 +11,6 @@ from crprime.moser import (
     MoserData,
     cartan_coefficient,
     chain_check,
-    defining_e,
     display_identity_reports,
     example_data,
     fefferman_J,
@@ -54,24 +53,24 @@ def test_extra_weight_floor():
     with pytest.raises(ValueError):
         MoserData(extra=(((2, 2, 0), G(1)),))
     ok = MoserData(extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
-    assert defining_e(ok).graded_part(4) == Poly.monomial(G(1), 2, 2)
+    assert ok.e.graded_part(4) == Poly.monomial(G(1), 2, 2)
 
 
 def test_extra_must_be_conjugation_closed():
     with pytest.raises(ValueError):
         MoserData(extra=(((4, 3, 0), G(1)),))
     ok = MoserData(extra=(((4, 3, 0), G(0, 2)), ((3, 4, 0), G(0, -2))))
-    e = defining_e(ok)
+    e = ok.e
     assert e == e.conj()
 
 
 def test_defining_function_flat_and_reality(md):
     # the v-free part of r = v - |z|^2 + E; the graph v = |z|^2 - E makes r vanish
-    assert -Poly.monomial(G(1), 1, 1) + defining_e(MoserData()) == -Poly.monomial(G(1), 1, 1)
-    r = -Poly.monomial(G(1), 1, 1) + defining_e(md)
+    assert -Poly.monomial(G(1), 1, 1) + MoserData().e == -Poly.monomial(G(1), 1, 1)
+    r = -Poly.monomial(G(1), 1, 1) + md.e
     assert r == r.conj()
     # E carries no weight below 6
-    e = defining_e(md)
+    e = md.e
     for w in range(6):
         assert not e.graded_part(w).terms
 
@@ -80,7 +79,7 @@ def test_defining_function_flat_and_reality(md):
 
 
 def test_flat_theta_matches_flat_model():
-    th = moser_theta(MoserData(), 10)
+    th = moser_theta(MoserData().e, 10)
     half = G(1) / G(2)
     assert th.component(2).poly == Poly.const(half)
     assert th.component(0).poly == Poly.monomial(-half * G(0, 1), 0, 1)
@@ -90,20 +89,20 @@ def test_flat_theta_matches_flat_model():
 def test_flat_data_solves_to_flat_structure():
     from crprime.forms import sc_is_zero
 
-    st = moser_structure(MoserData(), 10).struct
+    st = moser_structure(MoserData().e, 10).struct
     assert (st.g - GradedSeries(P_ONE, 10)).is_zero()
     assert sc_is_zero(st.A)
     assert sc_is_zero(st.R)
 
 
 def test_lambda_annihilates_theta(md):
-    ms = moser_structure(md)
+    ms = moser_structure(md.e)
     resid = ms.struct.theta.component(0) + ms.lam * ms.struct.theta.component(2)
     assert resid.is_zero()
 
 
 def test_frame_vector_is_dz_plus_lambda_du(md):
-    ms = moser_structure(md)
+    ms = moser_structure(md.e)
     assert (ms.struct.Z1.vz - GradedSeries(P_ONE, ms.order)).is_zero()
     assert ms.struct.Z1.vzb.is_zero()
     assert (ms.struct.Z1.vu - ms.lam).is_zero()
@@ -141,7 +140,7 @@ def test_torsion_sign_flip_is_exact(md):
     assert rep.status == "recorded"
     # recompute the flip independently: -2 z^2 E_uuu of the weight-12 block
     blk = MoserData(c42=(0, 0, 0, md.c42[3]), c33=(0, 0, 0, md.c33[3]))
-    euuu = defining_e(blk).diff("u").diff("u").diff("u")
+    euuu = blk.e.diff("u").diff("u").diff("u")
     flip = (Poly.monomial(G(-2), 2, 0) * euuu).graded_part(8)
     assert rep.residual == repr(flip)
 
@@ -235,7 +234,7 @@ def test_sublaplacian_pattern(md):
 def test_flat_coframe_decomposition_roundtrip(md):
     from crprime.moser import _flat_parts
 
-    ms = moser_structure(md)
+    ms = moser_structure(md.e)
     o = ms.order
     parts = _flat_parts(ms.struct.theta, o)
     half = G(1) / G(2)
@@ -278,6 +277,13 @@ def test_fefferman_flat_quarter():
     assert (j - GradedSeries(Poly.const(G(1) / G(4)), 8)).is_zero()
     j4 = fefferman_J(MoserData(), order=8, scale_cubed=4)
     assert (j4 - GradedSeries(P_ONE, 8)).is_zero()
+
+
+def test_zero_trailing_coefficient_leaves_the_working_order_alone():
+    # the working order comes from the top weight of E, not from list lengths
+    padded, plain = MoserData(c42=(G(1), 0)), MoserData(c42=(G(1),))
+    assert fefferman_J(padded).order == fefferman_J(plain).order
+    assert moser_structure(padded.e) is moser_structure(plain.e)
 
 
 def test_fefferman_degree_three(md):
@@ -345,4 +351,4 @@ def test_series_solve_tracks_the_pseudo_einstein_tensor_through_weight_8(md, dat
     # weight 8 from the series solve, so that solve must reach order 9
     if data == "moser-weight4":
         md = MoserData(c42=md.c42, c33=md.c33, extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
-    assert quantity(moser_structure(md), "pseudo_einstein").order >= 9
+    assert quantity(moser_structure(md.e), "pseudo_einstein").order >= 9

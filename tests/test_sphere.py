@@ -144,20 +144,17 @@ def test_compile_requires_singularity_declaration():
     with pytest.raises(ValueError, match="integrable"):
         compile_integrand(green, singular_exponent=4)
     assert compile_integrand(green, singular_exponent=2).singular_exponent == 2
-    # pole outside the domain needs no declaration
-    ci = compile_integrand(green, origin_in_domain=False)
-    assert ci.singular_exponent is None
 
 
 def test_compiled_green_matches_exact_on_probe_points():
-    ci = compile_integrand(flat_model().green, origin_in_domain=False)
+    ci = compile_integrand(flat_model().green, singular_exponent=2)
     rep = probe_report(ci, "probe.green", seed=3)
     assert rep.status == "pass"
     assert float(rep.residual) <= 1e-12
 
 
 def test_compiled_green_pointwise_value():
-    ci = compile_integrand(flat_model().green, origin_in_domain=False)
+    ci = compile_integrand(flat_model().green, singular_exponent=2)
     # z = 1, u = 0: s = 1, G = 1/(2 pi)
     val = complex(ci.fn(1.0, 0.0, 0.0))
     assert abs(val - 1 / (2 * math.pi)) < 1e-15
@@ -242,7 +239,7 @@ def test_power_tables_leave_every_float_unchanged():
         compile_integrand(fm.green * cr_laplacian(fm.structure, RatExpr(bump)),
                           singular_exponent=2),
         qprime_volume_integrand(),
-        compile_integrand(fm.green, origin_in_domain=False),
+        compile_integrand(fm.green, singular_exponent=2),
     ]
     # one shell of the off-center delta ball, which keeps clear of the pole;
     # phi = 0 gives a row with y = 0 exactly, where Im z^k is a signed zero
@@ -394,7 +391,7 @@ def test_centered_compile_keeps_the_origin_singularity_test():
     green = flat_model().green
     with pytest.raises(ValueError, match="undeclared"):
         compile_integrand(green, center=((3, 2), 0, 0))
-    ci = compile_integrand(green, origin_in_domain=False, center=((3, 2), 0, 0))
+    ci = compile_integrand(green, singular_exponent=2, center=((3, 2), 0, 0))
     assert abs(complex(ci.fn(1.0, 0.0, 0.0)) - 1 / (2 * math.pi)) < 1e-15
 
 

@@ -82,7 +82,7 @@ def test_inadmissible_coframe_hint_rejected(flat):
     with pytest.raises(StructureError, match="coframe hint not admissible"):
         solve_structure(flat.theta, theta1_hint=flat.theta1 + flat.theta)
     with pytest.raises(StructureError, match="coframe hint not admissible"):
-        solve_structure(moser_theta(example_data(), 13), theta1_hint=one_form(cz=1))
+        solve_structure(moser_theta(example_data().e, 13), theta1_hint=one_form(cz=1))
     # theta1 = theta leaves no coframe to take a dual frame of
     with pytest.raises(StructureError, match="not a coframe"):
         solve_structure(flat.theta, theta1_hint=flat.theta)
