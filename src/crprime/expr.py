@@ -188,7 +188,7 @@ class RatExpr:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
+            return self.invert() ** (-n)
         out, base = RX_ONE, self
         while n:
             if n & 1:
@@ -197,7 +197,7 @@ class RatExpr:
             n >>= 1
         return out
 
-    def inverse(self):
+    def invert(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         dpoly = P_ONE
@@ -216,13 +216,13 @@ class RatExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * o.invert()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o * self.invert()
 
     def conj(self):
         return RatExpr(

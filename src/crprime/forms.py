@@ -2,9 +2,11 @@
 
 Forms are sparse dictionaries over the basis dz, dzb, du (indices 0, 1, 2)
 with strictly increasing index tuples.  Component scalars are duck-typed:
-graded series, closed-form expressions, and bare rationals all work, as long
-as they support +, -, *, conj, diff, is_zero.  Mixing kinds inside one form
-is the caller's problem.
+graded series, closed-form expressions and Gaussian rationals all work, as
+long as they support +, -, *, conj, diff and is_zero, and the frame builders
+also need invert.  Components must be exact scalars, never bare ints: a
+missing component reads as GR_ZERO.  Mixing kinds inside one form is the
+caller's problem.
 
 AdaptedCoframe builds the frame (T, Z1, Z1b) dual to a coframe (theta, theta1,
 theta1b) without a matrix inverse: T and Z1 are cross products of the other
@@ -14,43 +16,10 @@ Z1b = conj Z1 because theta is real.  reeb_field shares the scaling.
 
 from __future__ import annotations
 
-from .expr import RatExpr
-from .gauss import GaussRational, rat
-from .series import GradedSeries
+from .gauss import GR_ZERO
 
 _VARS = ("z", "zb", "u")
 _IDX = {"z": 0, "zb": 1, "u": 2}
-
-
-def sc_is_zero(x):
-    if isinstance(x, int):
-        return x == 0
-    return x.is_zero()
-
-
-def sc_conj(x):
-    if isinstance(x, int):
-        return x
-    return x.conj()
-
-
-def sc_diff(x, var):
-    if isinstance(x, (int, GaussRational)):
-        return 0
-    return x.diff(var)
-
-
-def invert_scalar(x):
-    """Multiplicative inverse in whichever scalar ring x lives in."""
-    if isinstance(x, GradedSeries):
-        return x.invert()
-    if isinstance(x, RatExpr):
-        return x.inverse()
-    if isinstance(x, GaussRational):
-        return x.inverse()
-    if isinstance(x, int):
-        return GaussRational(rat(1, x))
-    raise TypeError(f"no inverse for {type(x).__name__}")
 
 
 def _sort_key(idx):
@@ -77,14 +46,14 @@ class DifferentialForm:
         clean = {}
         for idx, c in (comps or {}).items():
             key, sign = _sort_key(tuple(idx))
-            if sign == 0 or sc_is_zero(c):
+            if sign == 0 or c.is_zero():
                 continue
             if len(key) != degree:
                 raise ValueError("index length does not match degree")
             c = c if sign == 1 else -c
             clean[key] = clean[key] + c if key in clean else c
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", {k: v for k, v in clean.items() if not sc_is_zero(v)})
+        object.__setattr__(self, "comps", {k: v for k, v in clean.items() if not v.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("DifferentialForm is immutable")
@@ -94,7 +63,7 @@ class DifferentialForm:
 
     def component(self, *idx):
         key, sign = _sort_key(idx)
-        c = self.comps.get(key, 0)
+        c = self.comps.get(key, GR_ZERO)
         return c if sign >= 0 else -c
 
     def __add__(self, other):
@@ -131,7 +100,7 @@ class DifferentialForm:
         comps = {}
         for idx, c in self.comps.items():
             key, sign = _sort_key(tuple(swap[i] for i in idx))
-            cc = sc_conj(c)
+            cc = c.conj()
             cc = cc if sign == 1 else -cc
             comps[key] = comps[key] + cc if key in comps else cc
         return DifferentialForm(self.degree, comps)
@@ -159,18 +128,17 @@ class VectorField:
         return (self.vz, self.vzb, self.vu)[i]
 
     def conj(self):
-        return VectorField(sc_conj(self.vzb), sc_conj(self.vz), sc_conj(self.vu))
+        return VectorField(self.vzb.conj(), self.vz.conj(), self.vu.conj())
 
     def apply(self, f):
         """Directional derivative of a scalar."""
-        out = 0
+        out = None
         for var, v in zip(_VARS, (self.vz, self.vzb, self.vu)):
-            if sc_is_zero(v):
+            if v.is_zero():
                 continue
-            df = sc_diff(f, var)
-            term = v * df
-            out = term if isinstance(out, int) and out == 0 else out + term
-        return out
+            term = v * f.diff(var)
+            out = term if out is None else out + term
+        return GR_ZERO if out is None else out
 
     def __repr__(self):
         return f"VectorField({self.vz!r}, {self.vzb!r}, {self.vu!r})"
@@ -180,7 +148,7 @@ def form_from_scalar(f):
     return DifferentialForm(0, {(): f})
 
 
-def one_form(cz=0, czb=0, cu=0):
+def one_form(cz=GR_ZERO, czb=GR_ZERO, cu=GR_ZERO):
     return DifferentialForm(1, {(0,): cz, (1,): czb, (2,): cu})
 
 
@@ -206,8 +174,8 @@ def exterior_d(form: DifferentialForm) -> DifferentialForm:
     comps = {}
     for idx, c in form.comps.items():
         for var in _VARS:
-            dc = sc_diff(c, var)
-            if sc_is_zero(dc):
+            dc = c.diff(var)
+            if dc.is_zero():
                 continue
             key, sign = _sort_key((_IDX[var],) + idx)
             if sign == 0:
@@ -225,7 +193,7 @@ def contract(form: DifferentialForm, X: VectorField) -> DifferentialForm:
     for idx, c in form.comps.items():
         for pos, i in enumerate(idx):
             v = X.comp(i)
-            if sc_is_zero(v):
+            if v.is_zero():
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
             term = c * v if pos % 2 == 0 else -(c * v)
@@ -239,7 +207,7 @@ def evaluate(form: DifferentialForm, *vectors) -> object:
     out = form
     for X in vectors:
         out = contract(out, X)
-    return out.comps.get((), 0)
+    return out.comps.get((), GR_ZERO)
 
 
 def _cross(a: DifferentialForm, b: DifferentialForm) -> VectorField:
@@ -251,7 +219,7 @@ def _cross(a: DifferentialForm, b: DifferentialForm) -> VectorField:
 
 def _normalised(v: VectorField, form: DifferentialForm) -> VectorField:
     """v / form(v): the multiple of v on which form is 1."""
-    scale = invert_scalar(evaluate(form, v))
+    scale = evaluate(form, v).invert()
     return VectorField(scale * v.vz, scale * v.vzb, scale * v.vu)
 
 

@@ -112,8 +112,11 @@ class GaussRational:
     def conj(self):
         return GaussRational(self.re, -self.im)
 
-    def inverse(self):
+    def invert(self):
         return GR_ONE / self
+
+    def diff(self, var):
+        return GR_ZERO
 
     # -- predicates ----------------------------------------------------
 

@@ -282,7 +282,7 @@ def heisenberg_suite() -> list:
 
     # Szego kernel candidate block
     cand = szego_candidate()
-    want = 16 * re_scalar(zeta_rx.inverse() * zeta_rx.inverse())
+    want = 16 * re_scalar(zeta_rx.invert() * zeta_rx.invert())
     out.append(
         check_zero(
             "heisenberg.szego_closed_form",

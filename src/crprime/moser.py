@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .forms import exterior_d, one_form, sc_conj, sc_is_zero, wedge
+from .forms import exterior_d, one_form, wedge
 from .gauss import GR_I, G, GaussRational
 from .poly import P_ONE, P_ZERO, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
@@ -137,7 +137,7 @@ def _solve(e: Poly, order: int) -> MoserStructure:
     a1 = (-S(eu.diff("z")) - lam * S(euu)) * S(eu + Poly.const(GR_I)).invert()
     # Levi form in the coordinate frame, then a^1 = g^{-1} conj(a_1)
     g0 = S(P_ONE - e.diff("z").diff("zb")) - lam * S(eu.diff("zb")) - lamb * S(eu.diff("z")) - lam * lamb * S(euu)
-    a1up = g0.invert() * sc_conj(a1)
+    a1up = g0.invert() * a1.conj()
     hint = one_form(cz=S(P_ONE)) - theta * (GR_I * a1up)
     struct = solve_structure(theta, theta1_hint=hint)
     return MoserStructure(order=order, e=e, struct=struct, lam=lam, a1=a1, a1up=a1up, g0=g0)
@@ -159,12 +159,40 @@ def load_reference_series(path=None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("version") != 1 or "series" not in doc:
+    if not isinstance(doc, dict) or doc.get("version") != 1 or not isinstance(doc.get("series"), dict):
         raise ValueError("unrecognized reference-expansion file")
     missing = [key for key in SERIES_KEYS if key not in doc["series"]]
     if missing:
         raise ValueError(f"reference-expansion file lacks the series {', '.join(missing)}")
+    for key, spec in doc["series"].items():
+        defect = _series_defect(spec)
+        if defect:
+            raise ValueError(f"reference series {key!r}: {defect}")
     return doc["series"]
+
+
+def _ints(x, n, least=None) -> bool:
+    return isinstance(x, list) and len(x) == n and all(
+        type(k) is int and (least is None or k >= least) for k in x)
+
+
+def _series_defect(spec):
+    """What keeps reference_series from reading one file entry, or None."""
+    if not isinstance(spec, dict) or type(spec.get("cutoff")) is not int:
+        return "cutoff is not an int"
+    if not isinstance(spec.get("terms"), list):
+        return "terms is not a list"
+    for t in spec["terms"]:
+        if not isinstance(t, dict):
+            return f"term {t!r} is not an object"
+        q = t.get("coeff")
+        if not (_ints(q, 4) and q[1] and q[3]):
+            return f"coeff {q!r} is not four ints with nonzero denominators"
+        if not _ints(t.get("monomial"), 3, 0):
+            return f"monomial {t.get('monomial')!r} is not three non-negative ints"
+        if "e_derivs" not in t or not (t["e_derivs"] is None or _ints(t["e_derivs"], 3, 0)):
+            return f"e_derivs {t.get('e_derivs')!r} is neither null nor three non-negative ints"
+    return None
 
 
 def _decode_coeff(q) -> GaussRational:
@@ -196,7 +224,7 @@ def quantity(ms: MoserStructure, key: str) -> GradedSeries:
     if key == "a1":
         return ms.a1
     if key == "a1bar":
-        return st.Z1.apply(sc_conj(ms.a1))
+        return st.Z1.apply(ms.a1.conj())
     if key == "metric":
         return st.Z1.apply(st.g)
     if key == "torsion":
@@ -493,7 +521,7 @@ def display_identity_reports(md: MoserData) -> list:
     o = ms.order
     S = lambda p: GradedSeries(p, o)
     a1 = ms.a1
-    a1b = sc_conj(a1)
+    a1b = a1.conj()
     a1up = ms.a1up
     dz = one_form(cz=S(P_ONE))
     dzb = one_form(czb=S(P_ONE))
@@ -521,13 +549,9 @@ def display_identity_reports(md: MoserData) -> list:
     )
 
     def form_resid(check_id, form, anchor):
-        bad = None
-        for idx in sorted(form.comps):
-            if not sc_is_zero(form.comps[idx]):
-                bad = form.comps[idx]
-                break
-        ok = bad is None
-        return check_true(check_id, ok, "0" if ok else residual_repr(bad), "reference", anchor)
+        # a form stores no zero component, so the first one is the residual
+        ok = form.is_zero()
+        return check_true(check_id, ok, "0" if ok else residual_repr(form.comps[min(form.comps)]), "reference", anchor)
 
     return [
         check_zero("moser.display.metric_formula", st.g - ms.g0, "reference", "Levi metric in terms of E and lambda"),
@@ -585,18 +609,16 @@ def cartan_report(md: MoserData) -> VerificationReport:
     )
 
 
-def fefferman_J(md: MoserData, order=None, scale=1, scale_cubed=1) -> GradedSeries:
+def fefferman_J(md: MoserData, scale=1) -> GradedSeries:
     """Complex Monge-Ampere determinant of the defining function, on the graph.
 
     J[psi] = det [[psi, psi_zb, psi_wb], [psi_z, psi_zzb, psi_zwb],
     [psi_w, psi_wzb, psi_wwb]] for psi = scale * r; with this row ordering
-    the flat graph gives +1/4.  The result is multiplied by scale_cubed, so
-    an irrational cube-root normalization c = k^(1/3) is expressed exactly
-    via scale_cubed = k.  J is homogeneous of degree 3 in psi:
-    fefferman_J(md, scale=c) == c**3 * fefferman_J(md).
+    the flat graph gives +1/4, so 4 * fefferman_J(md) is the cube-root
+    normalization of J, stated exactly.  J is homogeneous of degree 3 in psi:
+    fefferman_J(md, scale=c) == c**3 * fefferman_J(md).  The series is
+    tracked through O(max(8, deg E + 1)).
     """
-    if order is None:
-        order = max(8, md.e.max_wdeg() + 1)
     e = md.e
     ez, ezb, eu = e.diff("z"), e.diff("zb"), e.diff("u")
     half = Poly.const(HALF)
@@ -618,22 +640,20 @@ def fefferman_J(md: MoserData, order=None, scale=1, scale_cubed=1) -> GradedSeri
         - m01 * (m10 * m22 - m12 * m20)
         + m02 * (m10 * m21 - m11 * m20)
     )
-    return GradedSeries(det * Poly.const(_as_gauss(scale_cubed)), order)
+    return GradedSeries(det, max(8, e.max_wdeg() + 1))
 
 
 def fefferman_reports(md: MoserData) -> list:
-    flat = MoserData()
-    j_flat = fefferman_J(flat, order=8)
-    j_norm = fefferman_J(md, scale_cubed=4)
-    dev = j_norm - 1
+    j_flat = fefferman_J(MoserData())
+    j_base = fefferman_J(md)
+    dev = 4 * j_base - 1
     ok = dev.certifies_O(4) is True
     j_scaled = fefferman_J(md, scale=2)
-    j_base = fefferman_J(md)
     return [
         check_zero("moser.fefferman.flat", j_flat - G(Fraction(1, 4)), "derived", "flat graph determinant equals 1/4"),
         check_zero(
             "moser.fefferman.flat_normalized",
-            fefferman_J(flat, order=8, scale_cubed=4) - 1,
+            4 * j_flat - 1,
             "derived",
             "cube-root-normalized flat determinant equals 1",
         ),

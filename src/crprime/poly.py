@@ -13,12 +13,12 @@ den, which equality and hashing use.  GaussRational appears only at the edges:
 construction from scalar coefficients, coeffs(), const_term(), eval() and
 repr.  Polynomials are treated as immutable once built.
 
-Each operation inserts its terms in the order term-by-term arithmetic would:
-a term that cancels is dropped and re-inserted at the end if it comes back.
-Floating-point evaluation (sphere.py) sorts the terms before it sums them, so
-no float depends on this order.  A product or sum
-with a 0 or 1 operand returns at once (0, the other operand, its truncation
-or its negation), with the terms in the order the term loop would give them.
+The contract is the value and that canonical form, nothing more: equality
+compares the terms as a mapping and the hash is built from a frozenset, so
+neither sees the order of `terms`, and no operation promises one.  Everything
+that prints or sums terms in floating point (repr, sphere.py) sorts them
+first.  A product or sum with a 0 or 1 operand returns at once (0, the other
+operand, its truncation or its negation).
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .forms import sc_is_zero
-
 STATUSES = ("pass", "fail", "recorded")
 PROVENANCES = ("reference", "trivial", "derived")
 
@@ -40,7 +38,7 @@ class VerificationReport:
 
 def residual_repr(x) -> str:
     """Stable short string for an exact scalar residual."""
-    if sc_is_zero(x):
+    if x.is_zero():
         return "0"
     s = repr(x)
     if len(s) > _MAX_RESIDUAL_CHARS:
@@ -49,7 +47,7 @@ def residual_repr(x) -> str:
 
 
 def check_zero(check_id, scalar, provenance, anchor, detail="") -> VerificationReport:
-    ok = sc_is_zero(scalar)
+    ok = scalar.is_zero()
     return VerificationReport(
         check_id=check_id,
         status="pass" if ok else "fail",

@@ -32,7 +32,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .expr import SIGMA, LogExpr, RatExpr, log_atom
-from .forms import sc_diff, sc_is_zero
 from .gauss import GR_I, G, GaussRational, rat
 from .heisenberg import flat_model
 from .poly import P_ONE, P_ZERO, U, Z, ZB, Poly
@@ -106,8 +105,8 @@ def chart_reports() -> list:
         "transformation law agrees with the re-solved torsion",
     ))
 
-    grad = [sc_diff(hat.R, v) for v in ("z", "zb", "u")]
-    flat_grad = all(sc_is_zero(g) for g in grad)
+    grad = [hat.R.diff(v) for v in ("z", "zb", "u")]
+    flat_grad = all(g.is_zero() for g in grad)
     out.append(check_true(
         "sphere.chart.curvature_is_constant",
         flat_grad,
@@ -168,15 +167,15 @@ def equality_reports() -> list:
 
     out.append(check_true(
         "sphere.equality.torsion_term",
-        sc_is_zero(hat.A),
-        "0" if sc_is_zero(hat.A) else None,
+        hat.A.is_zero(),
+        "0" if hat.A.is_zero() else None,
         "reference",
         "torsion correction integrand G^4 |A|^2 vanishes identically",
     ))
 
     p3 = p3_operator(hat, ups)
     p4 = paneitz(hat, ups)
-    both = sc_is_zero(p3) and sc_is_zero(p4)
+    both = p3.is_zero() and p4.is_zero()
     out.append(check_true(
         "sphere.equality.paneitz_term",
         both,

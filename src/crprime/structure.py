@@ -31,14 +31,11 @@ from .forms import (
     evaluate,
     exterior_d,
     form_from_scalar,
-    invert_scalar,
     one_form,
     reeb_field,
-    sc_conj,
-    sc_is_zero,
     wedge,
 )
-from .gauss import GR_I, G
+from .gauss import GR_I, GR_ONE, G
 from .series import GradedSeries
 
 HALF = G("1/2")
@@ -75,7 +72,7 @@ def solve_structure(theta, theta1_hint=None):
         except ZeroDivisionError as exc:
             raise StructureError("theta is not a contact form (theta ^ dtheta = 0)") from exc
         # dz minus its Reeb component; adapted since theta1(T) = 0
-        theta1 = one_form(cz=1) - T.vz * theta
+        theta1 = one_form(cz=GR_ONE) - T.vz * theta
     try:
         frame = AdaptedCoframe(theta, theta1)
     except ZeroDivisionError as exc:
@@ -83,11 +80,11 @@ def solve_structure(theta, theta1_hint=None):
 
     dth = exterior_d(theta)
     c = frame.expand_in_coframe(dth)
-    if not (sc_is_zero(c["theta^theta1"]) and sc_is_zero(c["theta^theta1b"])):
+    if not (c["theta^theta1"].is_zero() and c["theta^theta1b"].is_zero()):
         raise StructureError("coframe hint not admissible: dtheta has theta ^ theta1 terms")
     g = c["theta1^theta1b"] * G(0, -1)
     try:
-        ginv = invert_scalar(g)
+        ginv = g.invert()
     except (ZeroDivisionError, ValueError) as exc:
         raise StructureError("Levi form degenerates at the base point") from exc
 
@@ -96,7 +93,7 @@ def solve_structure(theta, theta1_hint=None):
     p, q, r = e["theta^theta1"], e["theta^theta1b"], e["theta1^theta1b"]
 
     w0 = -p
-    w1 = ginv * frame.Z1.apply(g) - sc_conj(r)
+    w1 = ginv * frame.Z1.apply(g) - r.conj()
     w2 = r
     omega = w0 * theta + w1 * theta1 + w2 * frame.theta1b
 
@@ -106,7 +103,7 @@ def solve_structure(theta, theta1_hint=None):
     om1 = evaluate(omega, frame.Z1)
     om1b = evaluate(omega, frame.Z1b)
     # conj(omega)(X) = conj(omega(conj X))
-    conn = {"1": (om1, sc_conj(om1b)), "1b": (om1b, sc_conj(om1))}
+    conn = {"1": (om1, om1b.conj()), "1b": (om1b, om1.conj())}
     return PseudohermitianStructure(
         frame=frame,
         g=g,
@@ -141,7 +138,7 @@ def verify_structure(struct) -> list:
         for key, val in s.frame.expand_in_coframe(form).items():
             out.append((f"{name}[{key}]", val))
     out.append(("curvature_mod_theta", res4))
-    out.append(("g_real", s.g - sc_conj(s.g)))
+    out.append(("g_real", s.g - s.g.conj()))
     return out
 
 
@@ -175,9 +172,9 @@ def _cov_step(struct, value, weights, token):
     X = struct.Z1 if token == "1" else struct.Z1b
     om, omb = struct.conn[token]
     out = X.apply(value)
-    if k and not sc_is_zero(om):
+    if k and not om.is_zero():
         out = out + k * (om * value)
-    if kb and not sc_is_zero(omb):
+    if kb and not omb.is_zero():
         out = out + kb * (omb * value)
     return out, ((k - 1, kb) if token == "1" else (k, kb - 1))
 
@@ -198,11 +195,11 @@ def _raised_divergence(struct, value):
 
 
 def re_scalar(x):
-    return (x + sc_conj(x)) * HALF
+    return (x + x.conj()) * HALF
 
 
 def im_scalar(x):
-    return (x - sc_conj(x)) * G(0, "-1/2")
+    return (x - x.conj()) * G(0, "-1/2")
 
 
 # -- operator suite ---------------------------------------------------------
@@ -227,7 +224,7 @@ def p3_operator(struct, f):
     """
     t3 = covariant_derivative(struct, f, "1b11")
     t1 = covariant_derivative(struct, f, "1b")
-    return struct.ginv * t3 + GR_I * (sc_conj(struct.A) * t1)
+    return struct.ginv * t3 + GR_I * (struct.A.conj() * t1)
 
 
 def paneitz(struct, f):
@@ -238,7 +235,7 @@ def paneitz(struct, f):
 def p_prime(struct, f):
     """P' f = 4 Delta_b^2 f - 8 Im grad^1(A_1^{1b} f_{,1b}) - 4 Re grad^1(R f_{,1})."""
     lap2 = sublaplacian(struct, sublaplacian(struct, f))
-    a11 = struct.g * sc_conj(struct.A)
+    a11 = struct.g * struct.A.conj()
     torsion_inner = a11 * (struct.ginv * covariant_derivative(struct, f, "1b"))
     torsion_div = _raised_divergence(struct, torsion_inner)
     curv_inner = struct.R * covariant_derivative(struct, f, "1")
@@ -248,14 +245,14 @@ def p_prime(struct, f):
 
 def q_prime(struct):
     """Q' = -2 Delta_b R + R^2 - 4 |A|^2 with indices raised by g twice."""
-    asq = struct.A * sc_conj(struct.A)
+    asq = struct.A * struct.A.conj()
     return -2 * sublaplacian(struct, struct.R) + struct.R * struct.R - 4 * asq
 
 
 def pseudo_einstein_tensor(struct):
     """R_{,1} - i A^{1b}_{1,1b}; identically zero iff theta is pseudo-Einstein."""
     r1 = covariant_derivative(struct, struct.R, "1")
-    abar = sc_conj(struct.A)  # A^{1b}_1: upper 1b, lower 1
+    abar = struct.A.conj()  # A^{1b}_1: upper 1b, lower 1
     stepped, _ = _cov_step(struct, abar, (-1, 1), "1b")
     return r1 - GR_I * stepped
 
@@ -302,12 +299,12 @@ def torsion_transform(struct, ups):
     g-hat = g.
     """
     f = _exp_of(struct, ups)
-    finv = invert_scalar(f)
-    a11 = struct.g * sc_conj(struct.A)
+    finv = f.invert()
+    a11 = struct.g * struct.A.conj()
     u1 = covariant_derivative(struct, ups, "1")
     u11 = covariant_derivative(struct, ups, "11")
     ahat11 = finv * (a11 + GR_I * u11 - GR_I * (u1 * u1))
-    return struct.ginv * sc_conj(ahat11)
+    return struct.ginv * ahat11.conj()
 
 
 def qprime_conformal_rhs(struct, ups):
@@ -317,7 +314,7 @@ def qprime_conformal_rhs(struct, ups):
     is used throughout.
     """
     pe = pseudo_einstein_tensor(struct)
-    if not sc_is_zero(pe):
+    if not pe.is_zero():
         raise StructureError("base structure is not pseudo-Einstein")
     p3 = p3_operator(struct, ups)
     grad_pair = (struct.ginv * covariant_derivative(struct, ups, "1b")) * p3

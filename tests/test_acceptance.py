@@ -13,7 +13,6 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from crprime.cli import main
 from crprime.expr import RatExpr
-from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.heisenberg import (
     conformal_battery,
@@ -95,7 +94,7 @@ def test_02_chain_condition_on_randomized_instances():
 
 def test_03_fefferman_determinant_is_one_to_fourth_order():
     for seed in SEEDS:
-        j = fefferman_J(random_data(seed, degree=2), scale_cubed=4)
+        j = 4 * fefferman_J(random_data(seed, degree=2))
         dev = j - GradedSeries(P_ONE, j.order)
         assert dev.certifies_O(4) is True, f"seed {seed}"
 
@@ -105,13 +104,13 @@ def test_04_flat_frame_identity_suite():
     fm = flat_model()
     st = fm.structure
 
-    assert sc_is_zero(st.Z1b.apply(RatExpr(ZETA)))  # zeta is CR holomorphic
+    assert st.Z1b.apply(RatExpr(ZETA)).is_zero()  # zeta is CR holomorphic
 
     log_rho4 = 4 * fm.log_rho
     d1 = covariant_derivative(st, log_rho4, "1")
-    assert sc_is_zero(d1 - RatExpr(2 * ZB) / RatExpr(ZETA))
+    assert (d1 - RatExpr(2 * ZB) / RatExpr(ZETA)).is_zero()
     d2 = covariant_derivative(st, log_rho4, "11")
-    assert sc_is_zero(d2 + d1 * d1)
+    assert (d2 + d1 * d1).is_zero()
 
     assert q3_identity().status == "pass"
     assert p3_log_rho().status == "pass"
@@ -123,9 +122,9 @@ def test_05_flat_equality_case_dual_path():
     fm = flat_model()
     ups = 2 * fm.log_green
     hat = conformal_change(fm.structure, ups)
-    assert sc_is_zero(hat.A)
-    assert sc_is_zero(hat.R)
-    assert sc_is_zero(torsion_transform(fm.structure, ups) - hat.A)
+    assert hat.A.is_zero()
+    assert hat.R.is_zero()
+    assert (torsion_transform(fm.structure, ups) - hat.A).is_zero()
 
 
 def test_06_flat_transformation_identity_closure():
@@ -136,9 +135,9 @@ def test_06_flat_transformation_identity_closure():
     szego = szego_candidate()
     sigma = (Z * ZB) ** 2 + U * U
     expected = RatExpr(Poly.const(G(16)) * ((Z * ZB) ** 2 - U * U)) / (RatExpr(sigma) * RatExpr(sigma))
-    assert sc_is_zero(szego - expected)
-    assert sc_is_zero(p3_operator(st, szego))
-    assert sc_is_zero(p_prime(st, lg) + paneitz(st, lg * lg))
+    assert (szego - expected).is_zero()
+    assert p3_operator(st, szego).is_zero()
+    assert (p_prime(st, lg) + paneitz(st, lg * lg)).is_zero()
 
 
 def test_07_conformal_qprime_law_battery():

@@ -301,6 +301,8 @@ GOLDEN_DEFECTS = {
     "not_json": "Expecting property name",
     "version_2": "unrecognized",
     "no_torsion": "lacks the series torsion",
+    "no_cutoff": "reference series 'lambda': cutoff is not an int",
+    "zero_denominator": "reference series 'torsion': coeff [1, 0, 0, 1] is not four ints",
 }
 
 
@@ -317,6 +319,12 @@ def test_unreadable_golden_file_is_a_usage_error(capsys, tmp_path, suite, defect
         path.write_text(json.dumps({**doc, "version": 2}))
     elif defect == "no_torsion":
         del doc["series"]["torsion"]
+        path.write_text(json.dumps(doc))
+    elif defect == "no_cutoff":
+        del doc["series"]["lambda"]["cutoff"]
+        path.write_text(json.dumps(doc))
+    elif defect == "zero_denominator":
+        doc["series"]["torsion"]["terms"][0]["coeff"] = [1, 0, 0, 1]
         path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "run", suite, "--golden", str(path))
     assert (code, out) == (2, "")
@@ -344,6 +352,8 @@ def test_config_file_errors_are_usage_errors(capsys, tmp_path):
     cfg.write_text("grid 96x40x16\n")
     assert run_cli(capsys, "run", "sphere", "--config", str(cfg))[0] == 2
     assert run_cli(capsys, "run", "sphere", "--config", str(tmp_path / "nope"))[0] == 2
+    cfg.write_bytes(b"\xff\xfe")
+    assert run_cli(capsys, "run", "heisenberg", "--config", str(cfg))[0] == 2
     assert run_cli(capsys, "run", "sphere", "--grid", "96x40")[0] == 2
     assert run_cli(capsys, "run", "sphere", "--grid", "3x4x5")[0] == 2
 

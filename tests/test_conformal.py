@@ -3,7 +3,6 @@
 import pytest
 
 from crprime.expr import RatExpr
-from crprime.forms import sc_is_zero
 from crprime.gauss import G
 from crprime.heisenberg import (
     LOG_ONE_PLUS_ZZB,
@@ -40,9 +39,9 @@ def test_equality_case_is_flat():
     # theta-hat = G^2 theta is again flat: A, R and Q' all vanish exactly
     fm = flat_model()
     hat = conformal_change(fm.structure, 2 * fm.log_green)
-    assert sc_is_zero(hat.A)
-    assert sc_is_zero(hat.R)
-    assert sc_is_zero(q_prime(hat))
+    assert hat.A.is_zero()
+    assert hat.R.is_zero()
+    assert q_prime(hat).is_zero()
 
 
 def test_graded_dual_path_order():

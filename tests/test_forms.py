@@ -10,7 +10,6 @@ from crprime.forms import (
     exterior_d,
     one_form,
     reeb_field,
-    sc_is_zero,
     wedge,
 )
 from crprime.gauss import G
@@ -106,7 +105,7 @@ def test_flat_frame_duality():
     moser = moser_structure(example_data().e).struct
     for st in (flat, graded, sphere_structure_in_chart(), moser, hat):
         for name, resid in duality_residuals(st.frame):
-            assert sc_is_zero(resid), name
+            assert resid.is_zero(), name
         Z1b, conj = st.frame.Z1b, st.frame.Z1.conj()
         assert (Z1b.vz, Z1b.vzb, Z1b.vu) == (conj.vz, conj.vzb, conj.vu)
     # T comes from the coframe, tracked as far as theta; the Reeb field of
@@ -135,8 +134,8 @@ def test_expand_in_coframe_roundtrip():
     assert (back - w).is_zero()
     dth = exterior_d(th)
     two = frame.expand_in_coframe(dth)
-    assert sc_is_zero(two["theta^theta1"])
-    assert sc_is_zero(two["theta^theta1b"])
+    assert two["theta^theta1"].is_zero()
+    assert two["theta^theta1b"].is_zero()
     # dtheta = i g theta1 ^ theta1b with g = 1
     assert two["theta1^theta1b"] == RatExpr(Poly.const(G(0, 1)))
 

@@ -17,7 +17,7 @@ def test_field_ops():
     assert a - b == G(2, 3)
     assert a * b == G(5, -1)  # (3+2i)(1-i) = 3 - 3i + 2i + 2 = 5 - i
     assert (a / b) * b == a
-    assert a * a.inverse() == GR_ONE
+    assert a * a.invert() == GR_ONE
 
 
 def test_division_exact():

@@ -6,6 +6,10 @@ from pathlib import Path
 
 import crprime
 import crprime.cli
+from crprime.expr import LogExpr, RatExpr
+from crprime.gauss import GaussRational
+from crprime.poly import Poly
+from crprime.series import GradedSeries
 
 SRC = Path(crprime.__file__).parent
 
@@ -51,3 +55,19 @@ def test_benchmark_wrap_targets_exist():
             assert part in vars(owner), f"{module}.{path}"
             owner = vars(owner)[part]
     assert [s for s in tracing.SUITES if s not in vars(crprime.cli)] == []
+
+
+def _crprime_imports(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0}
+
+
+def test_scalars_answer_for_themselves():
+    # forms asks each component scalar for is_zero, conj, diff and invert, so it
+    # needs no scalar module but gauss (for GR_ZERO), and report none of forms
+    assert _crprime_imports("forms") == {"gauss"}
+    assert "forms" not in _crprime_imports("report")
+    for kind in (GaussRational, Poly, RatExpr, LogExpr, GradedSeries):
+        assert all(callable(getattr(kind, m, None)) for m in ("is_zero", "conj", "diff")), kind
+    for kind in (GaussRational, RatExpr, GradedSeries):
+        assert callable(getattr(kind, "invert", None)), kind

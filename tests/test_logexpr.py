@@ -114,9 +114,9 @@ def test_exp_of_log_combination():
 def test_dilation_homogeneity():
     t = G("3/7")
     f = RX_ONE / RatExpr(SIGMA)  # Sigma = rho^4 has weight 4
-    assert f.dilate(t) == f * (t.inverse() ** 4)
+    assert f.dilate(t) == f * (t.invert() ** 4)
     g = RatExpr(ZB) / RatExpr(ZETA)  # weight -1
-    assert g.dilate(t) == g * t.inverse()
+    assert g.dilate(t) == g * t.invert()
     assert RX_S.dilate(t) == RX_S * t * t
 
 

@@ -87,12 +87,10 @@ def test_flat_theta_matches_flat_model():
 
 
 def test_flat_data_solves_to_flat_structure():
-    from crprime.forms import sc_is_zero
-
     st = moser_structure(MoserData().e, 10).struct
     assert (st.g - GradedSeries(P_ONE, 10)).is_zero()
-    assert sc_is_zero(st.A)
-    assert sc_is_zero(st.R)
+    assert st.A.is_zero()
+    assert st.R.is_zero()
 
 
 def test_lambda_annihilates_theta(md):
@@ -273,10 +271,10 @@ def test_cartan_coefficient_oracle():
 
 
 def test_fefferman_flat_quarter():
-    j = fefferman_J(MoserData(), order=8)
+    j = fefferman_J(MoserData())
+    assert j.order == 8
     assert (j - GradedSeries(Poly.const(G(1) / G(4)), 8)).is_zero()
-    j4 = fefferman_J(MoserData(), order=8, scale_cubed=4)
-    assert (j4 - GradedSeries(P_ONE, 8)).is_zero()
+    assert (4 * j - GradedSeries(P_ONE, 8)).is_zero()
 
 
 def test_zero_trailing_coefficient_leaves_the_working_order_alone():
@@ -293,11 +291,11 @@ def test_fefferman_degree_three(md):
 
 
 def test_fefferman_approximate_solution(md):
-    dev = fefferman_J(md, scale_cubed=4) - GradedSeries(P_ONE, 13)
+    dev = 4 * fefferman_J(md) - GradedSeries(P_ONE, 13)
     assert dev.certifies_O(4) is True
     assert dev.valuation() == 4
     for seed in (5, 6):
-        dev = fefferman_J(random_data(seed), scale_cubed=4) - GradedSeries(P_ONE, 11)
+        dev = 4 * fefferman_J(random_data(seed)) - GradedSeries(P_ONE, 11)
         assert dev.certifies_O(4) is True
 
 

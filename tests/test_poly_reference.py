@@ -1,9 +1,8 @@
 """The integer-numerator Poly against a plain {exps: (Fraction, Fraction)} model.
 
-The reference below does term-by-term rational arithmetic with the insertion
-rules Poly promises (smaller operand outer, a cancelled term dropped and
-re-inserted at the end if it comes back), so both the values and the term
-order of every result are compared.
+The reference below does term-by-term rational arithmetic, and every result
+is compared by value after its canonical form is checked.  Term order is not
+compared: Poly promises none.
 """
 
 from fractions import Fraction
@@ -45,7 +44,6 @@ def view(p):
 def same(p, ref):
     got = view(p)
     assert got == ref
-    assert list(got) == list(ref)
 
 
 def ref_accumulate(t, e, c):
@@ -204,12 +202,10 @@ def test_cancellation_gives_the_canonical_zero(a):
         assert zero == P_ZERO and hash(zero) == hash(P_ZERO)
 
 
-def test_term_that_cancels_is_reinserted_last():
+def test_term_that_cancels_and_returns_is_kept():
     one, z, z2, u = (Poly({e: 1}) for e in [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)])
     # (1 + z + z^2)(1 - z + z^2 + u): z^2 cancels at the second row and returns at the third
     a, b = one + z + z2, one - z + z2 + u
     prod = a.mul(b)
     same(prod, ref_mul(view(a), view(b)))
     assert prod == one + u + z * u + z2 + z2 * z2 + z2 * u
-    assert list(prod.terms) == [(0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0),
-                                (2, 0, 0, 0), (4, 0, 0, 0), (2, 0, 1, 0)]
