@@ -45,7 +45,7 @@ SUITES = ("all", "moser", "heisenberg", "conformal", "sphere")
 QUANTITY_KEYS = {
     "R": "curvature",
     "A": "torsion",
-    "g": "metric",
+    "g": "levi_metric",
     "lambda": "lambda",
     "pe_tensor": "pseudo_einstein",
 }

@@ -1,116 +1,123 @@
 """Exterior calculus on a 3-dimensional chart with coordinates (z, zb, u).
 
-Forms are sparse dictionaries over the basis dz, dzb, du (indices 0, 1, 2)
-with strictly increasing index tuples.  Component scalars are duck-typed:
-graded series, closed-form expressions and Gaussian rationals all work, as
-long as they support +, -, *, conj, diff and is_zero, and the frame builders
-also need invert.  Components must be exact scalars, never bare ints: a
-missing component reads as GR_ZERO.  Mixing kinds inside one form is the
-caller's problem.
+A form is the tuple of its component scalars: one for a 0-form and for a
+3-form (on dz^dzb^du), those on dz, dzb, du for a 1-form, and those on
+dzb^du, du^dz, dz^dzb for a 2-form, so that w(X, Y) = w . (X x Y).  Wedge,
+d (grad, curl, div) and the contraction i_X w = w x X of a 2-form are then
+cross and dot products.  Components are exact scalars, never bare ints:
+graded series, closed-form expressions or Gaussian rationals, with +, -, *,
+conj, diff, is_zero and, for the frame builders, invert.  A zero component
+is stored as GR_ZERO, and no product or sum touches it, nor a zero vector
+component.
 
 AdaptedCoframe builds the frame (T, Z1, Z1b) dual to a coframe (theta, theta1,
 theta1b) without a matrix inverse: T and Z1 are cross products of the other
 two forms' components, each scaled to pair to 1 with its own form, and
-Z1b = conj Z1 because theta is real.  reeb_field shares the scaling.
+Z1b = conj Z1 because theta is real.  reeb_field shares the scaling: the
+kernel of the 2-form dtheta is its own component vector.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .gauss import GR_ZERO
 
 _VARS = ("z", "zb", "u")
-_IDX = {"z": 0, "zb": 1, "u": 2}
+_WIDTH = (1, 3, 3, 1)
 
 
-def _sort_key(idx):
-    """Sort a multi-index, returning (tuple, sign); sign 0 on repeats."""
-    idx = list(idx)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+def _add(a, b):
+    """a + b, leaving out an operand that is GR_ZERO."""
+    return a if b is GR_ZERO else b if a is GR_ZERO else a + b
+
+
+def _neg(c):
+    return c if c is GR_ZERO else -c
+
+
+def _sub(a, b):
+    return _add(a, _neg(b))
+
+
+def _prod(a, b):
+    return GR_ZERO if a.is_zero() or b.is_zero() else a * b
+
+
+def _deriv(var, c):
+    """The derivative of c in var as a factor of d; GR_ZERO when it vanishes."""
+    dc = c.diff(var)
+    return GR_ZERO if dc.is_zero() else dc
+
+
+def _cross(a, b, mul=_prod):
+    """a x b of two component triples, with mul as the product."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        _sub(mul(a1, b2), mul(a2, b1)),
+        _sub(mul(a2, b0), mul(a0, b2)),
+        _sub(mul(a0, b1), mul(a1, b0)),
+    )
+
+
+def _dot(a, b, mul=_prod):
+    """a . b of two component triples, with mul as the product."""
+    return reduce(_add, map(mul, a, b), GR_ZERO)
+
+
+def _map(f, comps):
+    return tuple(c if c is GR_ZERO else f(c) for c in comps)
 
 
 class DifferentialForm:
     __slots__ = ("degree", "comps")
 
-    def __init__(self, degree, comps=None):
-        if not 0 <= degree <= 3:
-            raise ValueError("degree out of range on a 3-manifold")
-        clean = {}
-        for idx, c in (comps or {}).items():
-            key, sign = _sort_key(tuple(idx))
-            if sign == 0 or c.is_zero():
-                continue
-            if len(key) != degree:
-                raise ValueError("index length does not match degree")
-            c = c if sign == 1 else -c
-            clean[key] = clean[key] + c if key in clean else c
+    def __init__(self, degree, comps):
+        comps = tuple(GR_ZERO if c.is_zero() else c for c in comps)
+        if not 0 <= degree <= 3 or len(comps) != _WIDTH[degree]:
+            raise ValueError(f"no {degree}-form on a 3-manifold has {len(comps)} components")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", {k: v for k, v in clean.items() if not v.is_zero()})
+        object.__setattr__(self, "comps", comps)
 
     def __setattr__(self, name, value):
         raise AttributeError("DifferentialForm is immutable")
 
     def is_zero(self):
-        return not self.comps
-
-    def component(self, *idx):
-        key, sign = _sort_key(idx)
-        c = self.comps.get(key, GR_ZERO)
-        return c if sign >= 0 else -c
+        return all(c is GR_ZERO for c in self.comps)
 
     def __add__(self, other):
         if not isinstance(other, DifferentialForm):
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("cannot add forms of different degree")
-        comps = dict(self.comps)
-        for k, c in other.comps.items():
-            comps[k] = comps[k] + c if k in comps else c
-        return DifferentialForm(self.degree, comps)
+        return DifferentialForm(self.degree, map(_add, self.comps, other.comps))
 
     def __sub__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, DifferentialForm) else NotImplemented
 
     def __neg__(self):
-        return DifferentialForm(self.degree, {k: -c for k, c in self.comps.items()})
+        return DifferentialForm(self.degree, map(_neg, self.comps))
 
     def __mul__(self, scalar):
         if isinstance(scalar, DifferentialForm):
             return NotImplemented
-        return DifferentialForm(self.degree, {k: c * scalar for k, c in self.comps.items()})
+        return DifferentialForm(self.degree, _map(lambda c: c * scalar, self.comps))
 
     def __rmul__(self, scalar):
         if isinstance(scalar, DifferentialForm):
             return NotImplemented
-        return DifferentialForm(self.degree, {k: scalar * c for k, c in self.comps.items()})
+        return DifferentialForm(self.degree, _map(lambda c: scalar * c, self.comps))
 
     def conj(self):
         """Complex conjugation: swaps dz and dzb, fixes du."""
-        swap = {0: 1, 1: 0, 2: 2}
-        comps = {}
-        for idx, c in self.comps.items():
-            key, sign = _sort_key(tuple(swap[i] for i in idx))
-            cc = c.conj()
-            cc = cc if sign == 1 else -cc
-            comps[key] = comps[key] + cc if key in comps else cc
-        return DifferentialForm(self.degree, comps)
+        c = _map(lambda x: x.conj(), self.comps)
+        if self.degree in (1, 2):
+            c = (c[1], c[0], c[2])
+        return DifferentialForm(self.degree, map(_neg, c) if self.degree >= 2 else c)
 
     def __repr__(self):
-        names = {0: "dz", 1: "dzb", 2: "du"}
-        if not self.comps:
-            return f"<0-form 0>" if self.degree == 0 else f"<{self.degree}-form 0>"
-        bits = ["^".join(names[i] for i in k) or "1" for k in sorted(self.comps)]
-        return f"<{self.degree}-form on " + ", ".join(bits) + ">"
+        return f"DifferentialForm({self.degree}, {self.comps!r})"
 
 
 class VectorField:
@@ -124,113 +131,73 @@ class VectorField:
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")
 
-    def comp(self, i):
-        return (self.vz, self.vzb, self.vu)[i]
-
     def conj(self):
         return VectorField(self.vzb.conj(), self.vz.conj(), self.vu.conj())
 
     def apply(self, f):
         """Directional derivative of a scalar."""
-        out = None
-        for var, v in zip(_VARS, (self.vz, self.vzb, self.vu)):
-            if v.is_zero():
-                continue
-            term = v * f.diff(var)
-            out = term if out is None else out + term
-        return GR_ZERO if out is None else out
+        vs = (self.vz, self.vzb, self.vu)
+        return reduce(_add, (v * f.diff(var) for var, v in zip(_VARS, vs) if not v.is_zero()), GR_ZERO)
 
     def __repr__(self):
         return f"VectorField({self.vz!r}, {self.vzb!r}, {self.vu!r})"
 
 
 def form_from_scalar(f):
-    return DifferentialForm(0, {(): f})
+    return DifferentialForm(0, (f,))
 
 
 def one_form(cz=GR_ZERO, czb=GR_ZERO, cu=GR_ZERO):
-    return DifferentialForm(1, {(0,): cz, (1,): czb, (2,): cu})
+    return DifferentialForm(1, (cz, czb, cu))
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    deg = a.degree + b.degree
-    if deg > 3:
-        return DifferentialForm(3, {})
-    comps = {}
-    for ia, ca in a.comps.items():
-        for ib, cb in b.comps.items():
-            key, sign = _sort_key(ia + ib)
-            if sign == 0:
-                continue
-            c = ca * cb
-            c = c if sign == 1 else -c
-            comps[key] = comps[key] + c if key in comps else c
-    return DifferentialForm(deg, comps)
+    if a.degree == b.degree == 1:
+        return DifferentialForm(2, _cross(a.comps, b.comps))
+    if {a.degree, b.degree} == {1, 2}:
+        return DifferentialForm(3, (_dot(a.comps, b.comps),))
+    raise ValueError("wedge takes two 1-forms, or a 1-form and a 2-form")
 
 
 def exterior_d(form: DifferentialForm) -> DifferentialForm:
-    if form.degree == 3:
-        return DifferentialForm(3, {})
-    comps = {}
-    for idx, c in form.comps.items():
-        for var in _VARS:
-            dc = c.diff(var)
-            if dc.is_zero():
-                continue
-            key, sign = _sort_key((_IDX[var],) + idx)
-            if sign == 0:
-                continue
-            dc = dc if sign == 1 else -dc
-            comps[key] = comps[key] + dc if key in comps else dc
-    return DifferentialForm(form.degree + 1, comps)
+    """grad of a 0-form, curl of a 1-form, div of a 2-form."""
+    c = form.comps
+    if form.degree == 0:
+        return DifferentialForm(1, [_deriv(var, c[0]) for var in _VARS])
+    if form.degree == 1:
+        return DifferentialForm(2, _cross(_VARS, c, _deriv))
+    if form.degree == 2:
+        return DifferentialForm(3, (_dot(_VARS, c, _deriv),))
+    raise ValueError("exterior_d takes a 0-, 1- or 2-form")
 
 
 def contract(form: DifferentialForm, X: VectorField) -> DifferentialForm:
-    """Interior product: (i_X w)(Y, ...) = w(X, Y, ...)."""
-    if form.degree == 0:
-        raise ValueError("cannot contract a 0-form")
-    comps = {}
-    for idx, c in form.comps.items():
-        for pos, i in enumerate(idx):
-            v = X.comp(i)
-            if v.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = c * v if pos % 2 == 0 else -(c * v)
-            comps[rest] = comps[rest] + term if rest in comps else term
-    return DifferentialForm(form.degree - 1, comps)
+    """Interior product: (i_X w)(Y) = w(X, Y), which is Y . (w x X) for a 2-form."""
+    v = (X.vz, X.vzb, X.vu)
+    if form.degree == 1:
+        return DifferentialForm(0, (_dot(form.comps, v),))
+    if form.degree == 2:
+        return DifferentialForm(1, _cross(form.comps, v))
+    raise ValueError("contract takes a 1- or 2-form")
 
 
 def evaluate(form: DifferentialForm, *vectors) -> object:
     if len(vectors) != form.degree:
         raise ValueError("wrong number of vector arguments")
-    out = form
     for X in vectors:
-        out = contract(out, X)
-    return out.comps.get((), GR_ZERO)
+        form = contract(form, X)
+    return form.comps[0]
 
 
-def _cross(a: DifferentialForm, b: DifferentialForm) -> VectorField:
-    """The vector a x b of two 1-forms' components; both forms vanish on it."""
-    a0, a1, a2 = (a.component(i) for i in range(3))
-    b0, b1, b2 = (b.component(i) for i in range(3))
-    return VectorField(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
-def _normalised(v: VectorField, form: DifferentialForm) -> VectorField:
-    """v / form(v): the multiple of v on which form is 1."""
-    scale = evaluate(form, v).invert()
-    return VectorField(scale * v.vz, scale * v.vzb, scale * v.vu)
+def _normalised(v, form: DifferentialForm) -> VectorField:
+    """v / form(v): the multiple of the component triple v on which form is 1."""
+    scale = _dot(form.comps, v).invert()
+    return VectorField(*_map(lambda c: scale * c, v))
 
 
 def reeb_field(theta: DifferentialForm) -> VectorField:
     """The unique T with theta(T) = 1 and dtheta(T, .) = 0."""
-    dth = exterior_d(theta)
-    # in 3 variables the kernel direction of a 2-form is a cross product
-    v = VectorField(
-        dth.component(1, 2), -dth.component(0, 2), dth.component(0, 1)
-    )
-    return _normalised(v, theta)
+    return _normalised(exterior_d(theta).comps, theta)
 
 
 class AdaptedCoframe:
@@ -243,8 +210,8 @@ class AdaptedCoframe:
 
     def __init__(self, theta, theta1):
         theta1b = theta1.conj()
-        T = _normalised(_cross(theta1, theta1b), theta)
-        Z1 = _normalised(_cross(theta1b, theta), theta1)
+        T = _normalised(_cross(theta1.comps, theta1b.comps), theta)
+        Z1 = _normalised(_cross(theta1b.comps, theta.comps), theta1)
         for name, value in zip(self.__slots__, (theta, theta1, theta1b, T, Z1, Z1.conj())):
             object.__setattr__(self, name, value)
 

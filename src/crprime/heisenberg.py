@@ -75,7 +75,7 @@ def flat_q2_terms():
 def flat_series_structure(order: int):
     """The flat structure with graded-series scalars, for graded-mode tests."""
     theta = flat_model().structure.theta
-    lifted = (GradedSeries(theta.component(i).as_poly(), order) for i in range(3))
+    lifted = (GradedSeries(c.as_poly(), order) for c in theta.comps)
     return solve_structure(one_form(*lifted))
 
 

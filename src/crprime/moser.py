@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .forms import exterior_d, one_form, wedge
+from .forms import DifferentialForm, exterior_d, one_form, wedge
 from .gauss import GR_I, G, GaussRational
 from .poly import P_ONE, P_ZERO, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
@@ -99,7 +99,7 @@ class MoserData:
         object.__setattr__(self, "e", e)
 
 
-def moser_theta(e: Poly, order: int) -> "DifferentialForm":
+def moser_theta(e: Poly, order: int) -> DifferentialForm:
     ez, ezb, eu = e.diff("z"), e.diff("zb"), e.diff("u")
     half = Poly.const(HALF)
     ipol = Poly.const(GR_I)
@@ -217,8 +217,11 @@ def reference_series(e: Poly, spec: dict, order: int) -> GradedSeries:
 
 
 def quantity(ms: MoserStructure, key: str) -> GradedSeries:
-    """The solved series named by an expansion key (one of SERIES_KEYS)."""
+    """The solved series named by an expansion key: one of SERIES_KEYS, or
+    "levi_metric" for the Levi metric g itself ("metric" is Z_1 g)."""
     st = ms.struct
+    if key == "levi_metric":
+        return st.g
     if key == "lambda":
         return ms.lam
     if key == "a1":
@@ -228,7 +231,7 @@ def quantity(ms: MoserStructure, key: str) -> GradedSeries:
     if key == "metric":
         return st.Z1.apply(st.g)
     if key == "torsion":
-        # dtheta1 of the flat model has no theta ^ theta1b part, so A is the int 0
+        # dtheta1 of the flat model has no theta ^ theta1b part, so A is GR_ZERO
         return st.A if isinstance(st.A, GradedSeries) else GradedSeries(P_ZERO, ms.order)
     if key == "curvature":
         return st.R
@@ -391,7 +394,7 @@ def pe_consistency_probe(md: MoserData, table=None) -> VerificationReport:
 
 def _flat_parts(form, order):
     """Decompose a 1-form over {theta0, dz, dzb} with theta0 the flat contact form."""
-    cz, czb, cu = form.component(0), form.component(1), form.component(2)
+    cz, czb, cu = form.comps
     z = GradedSeries(Poly.var("z"), order)
     zb = GradedSeries(Poly.var("zb"), order)
     return {"theta0": 2 * cu, "dz": cz + GR_I * zb * cu, "dzb": czb - GR_I * z * cu}
@@ -549,9 +552,9 @@ def display_identity_reports(md: MoserData) -> list:
     )
 
     def form_resid(check_id, form, anchor):
-        # a form stores no zero component, so the first one is the residual
+        # the first nonzero component is the residual
         ok = form.is_zero()
-        return check_true(check_id, ok, "0" if ok else residual_repr(form.comps[min(form.comps)]), "reference", anchor)
+        return check_true(check_id, ok, "0" if ok else residual_repr(next(c for c in form.comps if not c.is_zero())), "reference", anchor)
 
     return [
         check_zero("moser.display.metric_formula", st.g - ms.g0, "reference", "Levi metric in terms of E and lambda"),

@@ -404,6 +404,15 @@ def test_expand_flat_torsion_is_zero(capsys):
     assert json.loads(out)["terms"] == []
 
 
+def test_expand_g_prints_the_levi_metric(capsys):
+    # the Levi metric is 1 through weight 3 on the example and exactly 1 on
+    # the flat model; Z_1 g, the reference key "metric", is not what g names
+    code, out, _ = run_cli(capsys, "expand", "g", "--order", "3")
+    assert (code, out.strip()) == (0, "g = 1 + O(4)")
+    code, out, _ = run_cli(capsys, "expand", "g", "--flat")
+    assert (code, out.strip()) == (0, "g = 1 + O(8)")
+
+
 def test_expand_szego_closed_form(capsys):
     code, out, _ = run_cli(capsys, "expand", "szego")
     assert code == 0

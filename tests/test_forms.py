@@ -8,6 +8,7 @@ from crprime.forms import (
     contract,
     evaluate,
     exterior_d,
+    form_from_scalar,
     one_form,
     reeb_field,
     wedge,
@@ -58,6 +59,31 @@ def test_leibniz():
     assert (lhs - rhs).is_zero()
 
 
+def test_forms_obey_their_defining_identities():
+    # antisymmetry, d^2 = 0 and Leibniz survive any consistent permutation of
+    # the component slots; these identities pin the layout itself
+    i = Poly.const(G(0, 1))
+    a = one_form(cz=RatExpr(Z * U), czb=RatExpr(ZB + i * U), cu=RatExpr(Z * ZB))
+    b = one_form(cz=RatExpr(U * U), czb=RatExpr(Z), cu=RatExpr(i * ZB))
+    X = VectorField(RatExpr(U), RatExpr(Z * ZB), RatExpr(Z + 1))
+    Y = VectorField(RatExpr(ZB), RatExpr(2), RatExpr(U))
+    # (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)
+    lhs = evaluate(wedge(a, b), X, Y)
+    assert (lhs - (evaluate(a, X) * evaluate(b, Y) - evaluate(a, Y) * evaluate(b, X))).is_zero()
+    # (df)(X) = X(f)
+    f = RatExpr(Z * Z * ZB + U * Z)
+    assert (evaluate(exterior_d(form_from_scalar(f)), X) - X.apply(f)).is_zero()
+    # conj commutes with wedge and with d
+    assert (wedge(a, b).conj() - wedge(a.conj(), b.conj())).is_zero()
+    assert (exterior_d(a).conj() - exterior_d(a.conj())).is_zero()
+    # for constant fields P and Q, da(P, Q) = P(a(Q)) - Q(a(P))
+    P = VectorField(RatExpr(1), RatExpr(i), RatExpr(3))
+    Q = VectorField(RatExpr(2), RatExpr(0), RatExpr(-1))
+    da = evaluate(exterior_d(a), P, Q)
+    assert (da - (P.apply(evaluate(a, Q)) - Q.apply(evaluate(a, P)))).is_zero()
+    assert not da.is_zero()
+
+
 def test_contract_basics():
     X = VectorField(RatExpr(1), RatExpr(0), RatExpr(U))
     w = one_form(cz=RatExpr(Z), cu=RatExpr(2))
@@ -69,7 +95,7 @@ def test_contract_basics():
 
 def test_conj_swaps_dz_dzb():
     w = one_form(cz=RatExpr(Z))
-    assert w.conj().component(1) == RatExpr(ZB)
+    assert w.conj().comps[1] == RatExpr(ZB)
     two = wedge(one_form(cz=RatExpr(1)), one_form(czb=RatExpr(1)))
     # conj(dz ^ dzb) = dzb ^ dz = -(dz ^ dzb)
     assert (two.conj() + two).is_zero()
@@ -79,7 +105,7 @@ def test_flat_reeb():
     th = flat_theta()
     dth = exterior_d(th)
     # dtheta = i dz ^ dzb
-    assert dth.component(0, 1) == RatExpr(Poly.const(G(0, 1)))
+    assert dth.comps[2] == RatExpr(Poly.const(G(0, 1)))
     T = reeb_field(th)
     assert T.vz.is_zero() and T.vzb.is_zero()
     assert T.vu == RatExpr(2)
@@ -117,7 +143,7 @@ def test_volume_orientation():
     th = flat_theta()
     vol = wedge(th, exterior_d(th))
     # theta ^ dtheta = (i/2) du ^ dz ^ dzb
-    c = vol.component(0, 1, 2)
+    c = vol.comps[0]
     assert c == RatExpr(Poly.const(G(0, "1/2")))
 
 

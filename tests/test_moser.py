@@ -1,11 +1,13 @@
 """Normal-form graphs: reference expansions, patterns, chain and ambient checks."""
 
 import json
+import typing
 from importlib import resources
 
 import pytest
 
 from crprime import moser
+from crprime.forms import DifferentialForm
 from crprime.gauss import G
 from crprime.moser import (
     MoserData,
@@ -81,9 +83,10 @@ def test_defining_function_flat_and_reality(md):
 def test_flat_theta_matches_flat_model():
     th = moser_theta(MoserData().e, 10)
     half = G(1) / G(2)
-    assert th.component(2).poly == Poly.const(half)
-    assert th.component(0).poly == Poly.monomial(-half * G(0, 1), 0, 1)
-    assert th.component(1).poly == Poly.monomial(half * G(0, 1), 1, 0)
+    assert th.comps[2].poly == Poly.const(half)
+    assert th.comps[0].poly == Poly.monomial(-half * G(0, 1), 0, 1)
+    assert th.comps[1].poly == Poly.monomial(half * G(0, 1), 1, 0)
+    assert typing.get_type_hints(moser_theta)["return"] is DifferentialForm
 
 
 def test_flat_data_solves_to_flat_structure():
@@ -95,7 +98,7 @@ def test_flat_data_solves_to_flat_structure():
 
 def test_lambda_annihilates_theta(md):
     ms = moser_structure(md.e)
-    resid = ms.struct.theta.component(0) + ms.lam * ms.struct.theta.component(2)
+    resid = ms.struct.theta.comps[0] + ms.lam * ms.struct.theta.comps[2]
     assert resid.is_zero()
 
 
@@ -241,9 +244,9 @@ def test_flat_coframe_decomposition_roundtrip(md):
     cu = parts["theta0"] * GradedSeries(half, o)
     cz = parts["dz"] - GradedSeries(Poly.monomial(ihalf, 0, 1), o) * parts["theta0"]
     czb = parts["dzb"] + GradedSeries(Poly.monomial(ihalf, 1, 0), o) * parts["theta0"]
-    assert (cu - ms.struct.theta.component(2)).is_zero()
-    assert (cz - ms.struct.theta.component(0)).is_zero()
-    assert (czb - ms.struct.theta.component(1)).is_zero()
+    assert (cu - ms.struct.theta.comps[2]).is_zero()
+    assert (cz - ms.struct.theta.comps[0]).is_zero()
+    assert (czb - ms.struct.theta.comps[1]).is_zero()
 
 
 # -- chain, umbilical, ambient -------------------------------------------------
@@ -333,7 +336,7 @@ def test_suite_solves_each_structure_once(monkeypatch):
     solve = moser.solve_structure
 
     def counted(*args, **kwargs):
-        orders.append(args[0].component(2).order)
+        orders.append(args[0].comps[2].order)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(moser, "solve_structure", counted)

@@ -14,7 +14,7 @@ import pytest
 
 from crprime import sphere
 from crprime.expr import LogExpr, RatExpr
-from crprime.forms import exterior_d, wedge
+from crprime.forms import exterior_d, reeb_field, wedge
 from crprime.gauss import G, rat
 from crprime.heisenberg import flat_model
 from crprime.poly import P_ONE, Poly
@@ -46,7 +46,9 @@ from crprime.structure import (
     cr_laplacian,
     pseudo_einstein_tensor,
     q_prime,
+    solve_structure,
     torsion_transform,
+    verify_structure,
 )
 
 
@@ -69,6 +71,18 @@ def test_structure_is_torsion_free_and_pseudo_einstein():
     hat = sphere_structure_in_chart()
     assert hat.A.is_zero()
     assert pseudo_einstein_tensor(hat).is_zero()
+
+
+def test_unhinted_solve_of_the_chart_form():
+    # the chart form's Reeb field has a dz part, so the solver's own theta1 =
+    # dz - T.vz theta and the kernel reeb_field reads from dtheta both matter
+    hat = sphere_structure_in_chart()
+    assert not reeb_field(hat.theta).vz.is_zero()
+    st = solve_structure(hat.theta)
+    for name, resid in verify_structure(st):
+        assert resid.is_zero(), name
+    assert (st.R - hat.R).is_zero()
+    assert st.A.is_zero()
 
 
 def test_curvature_is_the_constant_two():
@@ -97,7 +111,7 @@ def test_chart_factor_is_green_squared_up_to_the_denominator_ratio():
 def chart_volume_density(theta):
     """Density of theta wedge dtheta against dx dy du (dz^dzb = -2i dx^dy)."""
     vol = wedge(theta, exterior_d(theta))
-    return vol.component(0, 1, 2) * RatExpr(Poly.const(G(0, -2)))
+    return vol.comps[0] * RatExpr(Poly.const(G(0, -2)))
 
 
 def test_chart_volume_density_is_one_and_four():
