@@ -21,7 +21,7 @@ those three; treating atoms as independent is therefore conservative and safe.
 
 from __future__ import annotations
 
-from .gauss import G, GR_ONE, GaussRational
+from .gauss import G, GR_ONE, Exact, Field, Frozen, GaussRational
 from .poly import P_ONE, P_ZERO, PI, U, Z, ZB, Poly
 
 SIGMA = (Z * ZB) ** 2 + U**2  # s^2 as a polynomial
@@ -62,8 +62,9 @@ def _normalize_den(den):
     return out, scale
 
 
-class RatExpr:
+class RatExpr(Field):
     __slots__ = ("na", "nb", "den")
+    _LIFTS = (int, GaussRational, Poly)
 
     def __init__(self, na=P_ZERO, nb=P_ZERO, den=None):
         na = na if isinstance(na, Poly) else Poly.const(na)
@@ -77,28 +78,15 @@ class RatExpr:
         object.__setattr__(self, "nb", nb)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatExpr is immutable")
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
         return self.na.is_zero() and self.nb.is_zero()
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def as_poly(self):
         if self.nb.is_zero() and not self.den:
             return self.na
         return None
-
-    def __eq__(self, other):
-        if isinstance(other, (int, GaussRational, Poly)):
-            other = RatExpr(other)
-        if not isinstance(other, RatExpr):
-            return NotImplemented
-        return (self - other).is_zero()
 
     def _reduce(self):
         """Cancel denominator factors dividing both numerator components."""
@@ -126,13 +114,6 @@ class RatExpr:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RatExpr):
-            return other
-        if isinstance(other, (int, GaussRational, Poly)):
-            return RatExpr(other)
-        return None
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -156,18 +137,6 @@ class RatExpr:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __neg__(self):
         return RatExpr(-self.na, -self.nb, self.den)
 
@@ -184,19 +153,6 @@ class RatExpr:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.invert() ** (-n)
-        out, base = RX_ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def invert(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -211,18 +167,6 @@ class RatExpr:
         if norm.is_zero():
             raise ZeroDivisionError("a + b*s collapses on the surface s^2 = Sigma")
         return RatExpr(dpoly * a, -(dpoly * b), {norm: 1})._reduce()
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
 
     def conj(self):
         return RatExpr(
@@ -269,7 +213,7 @@ RX_ONE = RatExpr(na=P_ONE)
 RX_S = RatExpr(nb=P_ONE)
 
 
-class Atom:
+class Atom(Frozen):
     """A log argument, built once beside the code that owns it.
 
     Atoms compare by identity; the name only sorts and prints LogExpr keys.
@@ -286,9 +230,6 @@ class Atom:
         object.__setattr__(self, "_dlog", {})
         if conj is not None:
             object.__setattr__(conj, "conj", self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Atom is immutable")
 
     def __lt__(self, other):
         return self.name < other.name
@@ -308,10 +249,11 @@ def _merge_key(key, atom, dp):
     return tuple(sorted(d.items()))
 
 
-class LogExpr:
+class LogExpr(Exact):
     """Polynomial in log atoms with RatExpr coefficients."""
 
     __slots__ = ("terms",)
+    _LIFTS = (int, GaussRational, Poly, RatExpr)
 
     def __init__(self, terms=None):
         clean = {}
@@ -323,12 +265,11 @@ class LogExpr:
             clean[tuple(sorted(key))] = coeff
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LogExpr is immutable")
-
     @classmethod
     def from_rat(cls, rx):
-        return cls({(): rx})
+        return cls({(): rx})  # __init__ lifts rx with RatExpr(rx)
+
+    _lift = from_rat
 
     # -- structure ---------------------------------------------------------
 
@@ -344,20 +285,7 @@ class LogExpr:
             return self.rational_part()
         return None
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).is_zero()
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, LogExpr):
-            return other
-        if isinstance(other, (int, GaussRational, Poly, RatExpr)):
-            return LogExpr.from_rat(other)  # __init__ lifts it with RatExpr(x)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -369,18 +297,6 @@ class LogExpr:
         return LogExpr(terms)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __neg__(self):
         return LogExpr({k: -c for k, c in self.terms.items()})

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .gauss import GR_ZERO
+from .gauss import GR_ZERO, Exact, Frozen
 
 _VARS = ("z", "zb", "u")
 _WIDTH = (1, 3, 3, 1)
@@ -70,8 +70,11 @@ def _map(f, comps):
     return tuple(c if c is GR_ZERO else f(c) for c in comps)
 
 
-class DifferentialForm:
+class DifferentialForm(Frozen):
     __slots__ = ("degree", "comps")
+    # a form lifts nothing, so the scalars' - takes a form only
+    _LIFTS = ()
+    _coerce, __sub__ = Exact._coerce, Exact.__sub__
 
     def __init__(self, degree, comps):
         comps = tuple(GR_ZERO if c.is_zero() else c for c in comps)
@@ -79,9 +82,6 @@ class DifferentialForm:
             raise ValueError(f"no {degree}-form on a 3-manifold has {len(comps)} components")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferentialForm is immutable")
 
     def is_zero(self):
         return all(c is GR_ZERO for c in self.comps)
@@ -92,9 +92,6 @@ class DifferentialForm:
         if other.degree != self.degree:
             raise ValueError("cannot add forms of different degree")
         return DifferentialForm(self.degree, map(_add, self.comps, other.comps))
-
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, DifferentialForm) else NotImplemented
 
     def __neg__(self):
         return DifferentialForm(self.degree, map(_neg, self.comps))
@@ -120,16 +117,13 @@ class DifferentialForm:
         return f"DifferentialForm({self.degree}, {self.comps!r})"
 
 
-class VectorField:
+class VectorField(Frozen):
     __slots__ = ("vz", "vzb", "vu")
 
     def __init__(self, vz, vzb, vu):
         object.__setattr__(self, "vz", vz)
         object.__setattr__(self, "vzb", vzb)
         object.__setattr__(self, "vu", vu)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
 
     def conj(self):
         return VectorField(self.vzb.conj(), self.vz.conj(), self.vu.conj())
@@ -195,12 +189,12 @@ def _normalised(v, form: DifferentialForm) -> VectorField:
     return VectorField(*_map(lambda c: scale * c, v))
 
 
-def reeb_field(theta: DifferentialForm) -> VectorField:
-    """The unique T with theta(T) = 1 and dtheta(T, .) = 0."""
-    return _normalised(exterior_d(theta).comps, theta)
+def reeb_field(theta: DifferentialForm, dtheta: DifferentialForm) -> VectorField:
+    """The unique T with theta(T) = 1 and dtheta(T, .) = 0; dtheta is exterior_d(theta)."""
+    return _normalised(dtheta.comps, theta)
 
 
-class AdaptedCoframe:
+class AdaptedCoframe(Frozen):
     """Coframe (theta, theta1, theta1b) with its dual frame (T, Z1, Z1b).
 
     theta is real, so theta1b = conj theta1 and Z1b = conj Z1.
@@ -214,9 +208,6 @@ class AdaptedCoframe:
         Z1 = _normalised(_cross(theta1b.comps, theta.comps), theta1)
         for name, value in zip(self.__slots__, (theta, theta1, theta1b, T, Z1, Z1.conj())):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdaptedCoframe is immutable")
 
     def expand_in_coframe(self, form: DifferentialForm) -> dict:
         """Components of a 1- or 2-form against theta, theta1, theta1b and their wedges."""

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .expr import LOG_2PI, LOG_S, LOG_ZETA, RX_ONE, RX_S, ZETA, LogExpr, RatExpr, log_atom
 from .forms import one_form
-from .gauss import GR_I, G as GQ
+from .gauss import GR_I, Frozen, G as GQ
 from .poly import P_ONE, PI, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded, residual_repr
 from .series import GradedSeries
@@ -35,7 +35,7 @@ from .structure import (
     torsion_transform,
 )
 
-class FlatModel:
+class FlatModel(Frozen):
     """The solved flat structure plus its Green's-function scalars."""
 
     __slots__ = ("structure", "green", "log_green", "log_rho")
@@ -50,9 +50,6 @@ class FlatModel:
         object.__setattr__(self, "green", RX_ONE / (RatExpr(2 * PI) * RX_S))
         object.__setattr__(self, "log_green", -LOG_2PI - LOG_S)
         object.__setattr__(self, "log_rho", HALF * LOG_S)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlatModel is immutable")
 
 
 @lru_cache(maxsize=1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .gauss import GR_ONE, GR_ZERO, GaussRational, rat
+from .gauss import GR_ONE, GR_ZERO, Exact, GaussRational, rat
 
 VARS = ("z", "zb", "u", "pi")
 _SLOT = {"z": 0, "zb": 1, "u": 2, "pi": 3}
@@ -70,8 +70,9 @@ def _reduced(terms, den):
     return _make(terms, den)
 
 
-class Poly:
+class Poly(Exact):
     __slots__ = ("terms", "den", "_hash")
+    _LIFTS = (int, GaussRational)
 
     def __init__(self, terms=None):
         """From {exps: GaussRational | int}; zero coefficients are dropped."""
@@ -87,14 +88,13 @@ class Poly:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def const(cls, c):
         return cls({(0, 0, 0, 0): c})
+
+    _lift = const
 
     @classmethod
     def var(cls, name):
@@ -108,22 +108,17 @@ class Poly:
 
     # -- ring operations -------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, GaussRational)):
-            return Poly.const(other)
-        return None
-
-    def _add(self, o, sign):
-        """self + sign * o, for sign = +1 or -1."""
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if not o.terms:
             return self
         if not self.terms:
-            return o if sign == 1 else -o
+            return o
         da, db = self.den, o.den
         g = gcd(da, db)
-        sa, sb = db // g, sign * (da // g)
+        sa, sb = db // g, da // g
         t = dict(self.terms) if sa == 1 else {
             e: (re * sa, im * sa) for e, (re, im) in self.terms.items()}
         for e, (re, im) in o.terms.items():
@@ -137,34 +132,13 @@ class Poly:
             t[e] = (re, im)
         return _reduced(t, da * sa)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, 1)
-
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._add(self, -1)
 
     def __neg__(self):
         return _make({e: (-re, -im) for e, (re, im) in self.terms.items()}, self.den)
 
-    def mul(self, other, order=None):
-        """Product, optionally dropping monomials of weight >= order."""
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot multiply Poly by {type(other).__name__}")
+    def mul(self, o, order=None):
+        """Product with the Poly o, optionally dropping monomials of weight >= order."""
         a, b = self.terms, o.terms
         if not a or not b:
             return P_ZERO
@@ -205,18 +179,6 @@ class Poly:
         return self.mul(o)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a Poly")
-        out = P_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- calculus ---------------------------------------------------------
 
@@ -290,7 +252,10 @@ class Poly:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.den, frozenset(self.terms.items()))))
+            # a constant equals its coefficient, so it hashes like it
+            h = (hash(self.const_term()) if self.is_const()
+                 else hash((self.den, frozenset(self.terms.items()))))
+            object.__setattr__(self, "_hash", h)
         return self._hash
 
     # -- evaluation and substitution ---------------------------------------

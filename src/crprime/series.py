@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 
-from .gauss import GR_ONE, GaussRational, rat
+from .gauss import GR_ONE, Exact, GaussRational, rat
 from .poly import P_ONE, P_ZERO, Poly
 
 INF = math.inf
 
 
-class GradedSeries:
+class GradedSeries(Exact):
     __slots__ = ("poly", "order")
+    _LIFTS = (int, GaussRational, Poly)
 
     def __init__(self, poly, order=INF):
         if not isinstance(poly, Poly):
@@ -31,9 +32,6 @@ class GradedSeries:
             poly = poly.truncate(order)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSeries is immutable")
 
     # -- queries -----------------------------------------------------------
 
@@ -59,21 +57,16 @@ class GradedSeries:
         return True
 
     def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.poly == other.poly and self.order == other.order
 
     def __hash__(self):
-        return hash((self.poly, self.order))
+        # an exact series equals its polynomial, so it hashes like it
+        return hash(self.poly) if self.order == INF else hash((self.poly, self.order))
 
     # -- ring operations -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, GradedSeries):
-            return other
-        if isinstance(other, (int, GaussRational, Poly)):
-            return GradedSeries(other if isinstance(other, Poly) else Poly.const(other))
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -82,18 +75,6 @@ class GradedSeries:
         return GradedSeries(self.poly + o.poly, min(self.order, o.order))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GradedSeries(self.poly - o.poly, min(self.order, o.order))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return GradedSeries(-self.poly, self.order)

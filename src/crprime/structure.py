@@ -65,10 +65,11 @@ class PseudohermitianStructure:
 
 
 def solve_structure(theta, theta1_hint=None):
+    dth = exterior_d(theta)
     theta1 = theta1_hint
     if theta1 is None:
         try:
-            T = reeb_field(theta)
+            T = reeb_field(theta, dth)
         except ZeroDivisionError as exc:
             raise StructureError("theta is not a contact form (theta ^ dtheta = 0)") from exc
         # dz minus its Reeb component; adapted since theta1(T) = 0
@@ -78,7 +79,6 @@ def solve_structure(theta, theta1_hint=None):
     except ZeroDivisionError as exc:
         raise StructureError("theta, theta1 and theta1b are not a coframe") from exc
 
-    dth = exterior_d(theta)
     c = frame.expand_in_coframe(dth)
     if not (c["theta^theta1"].is_zero() and c["theta^theta1b"].is_zero()):
         raise StructureError("coframe hint not admissible: dtheta has theta ^ theta1 terms")

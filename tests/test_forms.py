@@ -106,7 +106,7 @@ def test_flat_reeb():
     dth = exterior_d(th)
     # dtheta = i dz ^ dzb
     assert dth.comps[2] == RatExpr(Poly.const(G(0, 1)))
-    T = reeb_field(th)
+    T = reeb_field(th, exterior_d(th))
     assert T.vz.is_zero() and T.vzb.is_zero()
     assert T.vu == RatExpr(2)
     assert evaluate(th, T) == RatExpr(1)
@@ -174,7 +174,7 @@ def test_series_scalar_coframe():
         czb=S(Poly.const(i * G("1/2")) * Z, n),
         cu=S(G("1/2"), n),
     )
-    T = reeb_field(th)
+    T = reeb_field(th, exterior_d(th))
     assert T.vu.poly == Poly.const(2)
     frame = AdaptedCoframe(th, one_form(cz=S(1, n)))
     for name, resid in duality_residuals(frame):

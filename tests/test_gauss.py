@@ -1,6 +1,11 @@
 import pytest
 
+from crprime.expr import LOG_S, LOG_ZETA, RX_S, Atom, RatExpr
+from crprime.forms import VectorField, one_form
 from crprime.gauss import G, GR_I, GR_ONE, GR_ZERO, rat
+from crprime.heisenberg import flat_model
+from crprime.poly import P_ONE, U, Z, ZB, Poly
+from crprime.series import GradedSeries
 
 
 def test_construct_and_repr():
@@ -74,3 +79,47 @@ def test_field_axioms_sampled():
                 assert (a + b) * c == a * c + b * c
             if not b.is_zero():
                 assert (a / b) * b == a
+
+
+# two values of each exact scalar kind: a RatExpr with a denominator and an
+# s-part, a LogExpr with atoms, a GradedSeries at finite order
+_KINDS = {
+    "GaussRational": (G(3, 2), G("1/2", -5)),
+    "Poly": (1 + Z - 2 * ZB * U, Z * Z - G(0, 3) * U),
+    "RatExpr": (RatExpr(1 + Z, ZB, {1 + Z * ZB: 1}), RatExpr(U, P_ONE)),
+    "LogExpr": (LOG_S * RatExpr(Z) + 1, LOG_ZETA - ZB),
+    "GradedSeries": (GradedSeries(1 + Z + U, 6), GradedSeries(Z * ZB - 2, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_derived_operators_obey_their_laws(kind):
+    a, b = _KINDS[kind]
+    assert a - b == a + (-b)
+    assert 1 - a == -(a - 1)
+    assert a ** 3 == a * a * a
+    assert a ** 0 == 1
+    if a.__hash__ is not None:
+        assert hash(a ** 0) == hash(1)
+    assert not (a - a) and a
+    if kind in ("GaussRational", "RatExpr"):
+        assert a ** -2 * a ** 2 == 1
+        assert a / b * b == a
+        assert 2 / a == 2 * a.invert()
+    else:
+        with pytest.raises(TypeError):
+            a / b
+    if kind == "Poly":
+        with pytest.raises(AttributeError, match="invert"):
+            a ** -1
+
+
+def test_frozen_classes_refuse_assignment():
+    flat = flat_model()
+    frame = flat.structure.frame
+    frozen = [G(1), Z, RX_S, Atom("t", RX_S), LOG_S, GradedSeries(Z, 3),
+              one_form(cz=RX_S), VectorField(RX_S, RX_S, RX_S), frame, flat]
+    assert len({type(x) for x in frozen}) == 10
+    for x in frozen:
+        with pytest.raises(AttributeError, match=f"^{type(x).__name__} is immutable$"):
+            x.extra = 0

@@ -71,3 +71,11 @@ def test_scalars_answer_for_themselves():
         assert all(callable(getattr(kind, m, None)) for m in ("is_zero", "conj", "diff")), kind
     for kind in (GaussRational, RatExpr, GradedSeries):
         assert callable(getattr(kind, "invert", None)), kind
+
+
+def test_scalar_kinds_define_only_their_primitives():
+    # -, /, **, truth, lifting and immutability are written once, in gauss's bases
+    derived = ("_coerce", "__sub__", "__rsub__", "__truediv__", "__rtruediv__",
+               "__pow__", "__bool__", "__setattr__")
+    for kind in (GaussRational, Poly, RatExpr, LogExpr, GradedSeries):
+        assert [m for m in derived if m in vars(kind)] == [], kind

@@ -77,7 +77,7 @@ def test_unhinted_solve_of_the_chart_form():
     # the chart form's Reeb field has a dz part, so the solver's own theta1 =
     # dz - T.vz theta and the kernel reeb_field reads from dtheta both matter
     hat = sphere_structure_in_chart()
-    assert not reeb_field(hat.theta).vz.is_zero()
+    assert not reeb_field(hat.theta, exterior_d(hat.theta)).vz.is_zero()
     st = solve_structure(hat.theta)
     for name, resid in verify_structure(st):
         assert resid.is_zero(), name
