@@ -25,7 +25,6 @@ from .heisenberg import (
     flat_model,
     graded_conformal_check,
     heisenberg_suite,
-    q3_identity,
     szego_candidate,
 )
 from .moser import (
@@ -64,13 +63,19 @@ class UsageError(Exception):
     pass
 
 
-def _parse_config_file(path) -> dict:
-    out = {}
+def _config_flags(path) -> list:
+    """The lines `key = value` of a settings file, as the flags `--key=value`.
+
+    One token per flag, so a value that starts with "-" stays a value.  main
+    parses them before the command line's own flags, so a flag given on the
+    command line wins, and argparse checks every value either way.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,11 +85,12 @@ def _parse_config_file(path) -> dict:
         key, _, val = (s.strip() for s in line.partition("="))
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = val
-    return out
+        flags.append(f"--{key}={val}")
+    return flags
 
 
-def _parse_grid(text: str):
+def _grid(text: str):
+    # argparse passes a UsageError through, so a bad grid keeps this message
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise UsageError(f"bad grid {text!r}: expected RADIALxANGULARxAZIMUTHAL")
@@ -94,37 +100,15 @@ def _parse_grid(text: str):
         raise UsageError(f"bad grid {text!r}: node counts must be integers")
 
 
-def _effective_settings(args) -> dict:
-    """Config-file values overridden by explicit command line flags."""
-    merged = _parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    try:
-        if "order" in merged:
-            merged["order"] = int(merged["order"])
-        if "seed" in merged:
-            merged["seed"] = int(merged["seed"])
-        if "tol" in merged:
-            merged["tol"] = float(merged["tol"])
-    except ValueError as exc:
-        raise UsageError(f"bad config value: {exc}")
-    if "grid" in merged and isinstance(merged["grid"], str):
-        merged["grid"] = _parse_grid(merged["grid"])
-    if merged.get("format", "text") not in ("text", "json"):
-        raise UsageError(f"bad format {merged['format']!r}: expected text or json")
-    return merged
-
-
-def _quad_config(settings) -> QuadratureConfig | None:
-    if "grid" not in settings and "tol" not in settings:
+def _quad_config(args) -> QuadratureConfig | None:
+    if args.grid is None and args.tol is None:
         return None
     kw = {}
-    if "grid" in settings:
-        nr, na, nz = settings["grid"]
+    if args.grid is not None:
+        nr, na, nz = args.grid
         kw.update(n_radial=nr, n_angular=na, n_azimuthal=nz)
-    if "tol" in settings:
-        kw["tol"] = settings["tol"]
+    if args.tol is not None:
+        kw["tol"] = args.tol
     try:
         return QuadratureConfig(**kw)
     except ValueError as exc:
@@ -139,7 +123,7 @@ def _corrupted_moser_data() -> MoserData:
                      extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
 
 
-def _suite_job(name, settings, golden=None, corrupt=None):
+def _suite_job(name, args, golden=None):
     """Check the settings of suite `name`; return a function that runs it.
 
     `run all` makes every job before it runs any, so a usage error exits 2
@@ -147,26 +131,19 @@ def _suite_job(name, settings, golden=None, corrupt=None):
     """
     if name == "moser":
         return lambda: moser_suite(
-            _corrupted_moser_data() if corrupt == "moser-weight4" else None, table=golden)
+            _corrupted_moser_data() if args.corrupt == "moser-weight4" else None, table=golden)
     if name == "heisenberg":
-        def heisenberg_job():
-            reports = heisenberg_suite()
-            if corrupt == "green-power":
-                reports = [r for r in reports if r.check_id != "heisenberg.q3_identity"]
-                reports.append(q3_identity(wrong_power=True))
-            return reports
-        return heisenberg_job
+        return lambda: heisenberg_suite(wrong_power=args.corrupt == "green-power")
     if name == "conformal":
-        order = settings.get("order", 16)
+        order = 16 if args.order is None else args.order
         if order < GRADED_FLOOR:
             raise UsageError(f"conformal suite needs --order >= {GRADED_FLOOR}")
         return lambda: conformal_battery() + graded_conformal_check(order=order)
     if name == "sphere":
         # --tol alone leaves the delta ball on its own default grid
-        config = _quad_config(settings)
-        delta_config = config if "grid" in settings else None
-        return lambda: sphere_suite(config, seed=settings.get("seed", 0),
-                                    delta_config=delta_config)
+        config = _quad_config(args)
+        delta_config = config if args.grid is not None else None
+        return lambda: sphere_suite(config, seed=args.seed, delta_config=delta_config)
     raise UsageError(f"unknown suite {name!r}")
 
 
@@ -248,7 +225,6 @@ def _run_jobs(jobs) -> dict:
 
 
 def run_command(args) -> int:
-    settings = _effective_settings(args)
     if args.corrupt and args.suite not in (CORRUPT_OWNER[args.corrupt], "all"):
         raise UsageError(
             f"--corrupt {args.corrupt} belongs to the {CORRUPT_OWNER[args.corrupt]} suite")
@@ -263,8 +239,7 @@ def run_command(args) -> int:
 
     names = ("moser", "heisenberg", "conformal", "sphere") if args.suite == "all" else (args.suite,)
     setup_cpu = time.process_time()
-    jobs = {name: _suite_job(name, settings, golden=golden, corrupt=args.corrupt)
-            for name in names}
+    jobs = {name: _suite_job(name, args, golden=golden) for name in names}
     results = _run_jobs(jobs)
     if args.timings:
         print(f"setup: cpu {setup_cpu:.2f}s", file=sys.stderr)
@@ -273,15 +248,15 @@ def run_command(args) -> int:
             print(f"{name}: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
     reports = [r for name in names for r in results[name][0]]
 
-    meta = {"suite": args.suite, "seed": settings.get("seed", 0)}
-    if "grid" in settings:
-        meta["grid"] = "x".join(str(n) for n in settings["grid"])
-    if "tol" in settings:
-        meta["tol"] = settings["tol"]
-    if "order" in settings:
-        meta["order"] = settings["order"]
+    meta = {"suite": args.suite, "seed": args.seed}
+    if args.grid is not None:
+        meta["grid"] = "x".join(str(n) for n in args.grid)
+    if args.tol is not None:
+        meta["tol"] = args.tol
+    if args.order is not None:
+        meta["order"] = args.order
 
-    emit = reports_to_json if settings.get("format", "text") == "json" else reports_to_text
+    emit = reports_to_json if args.format == "json" else reports_to_text
     sys.stdout.write(emit(reports, meta))
     return 1 if has_failure(reports) else 0
 
@@ -298,15 +273,13 @@ def _series_terms(poly):
 
 
 def expand_command(args) -> int:
-    settings = _effective_settings(args)
-    order = settings.get("order", 7)
+    order = 7 if args.order is None else args.order
     if order < 0:
         raise UsageError(f"expand needs --order >= 0, got {order}")
-    fmt = settings.get("format", "text")
 
     if args.quantity == "szego":
         closed = szego_candidate()
-        if fmt == "json":
+        if args.format == "json":
             sys.stdout.write(json.dumps(
                 {"quantity": "szego", "closed_form": repr(closed)},
                 indent=2, sort_keys=True) + "\n")
@@ -322,7 +295,7 @@ def expand_command(args) -> int:
         # derivatives cost the quantity orders; solve again above the loss
         series = quantity(moser_structure(e, order=order + 1 + ms.order - series.order), key)
     shown = series.truncated(order + 1)
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "quantity": args.quantity,
             "order": order,
@@ -345,9 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--order", type=int, default=None, help="weighted truncation order")
         p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
-        p.add_argument("--grid", default=None, help="quadrature nodes, e.g. 96x40x16")
-        p.add_argument("--seed", type=int, default=None, help="probe-point seed")
-        p.add_argument("--format", choices=("text", "json"), default=None)
+        p.add_argument("--grid", type=_grid, default=None,
+                       help="quadrature nodes, e.g. 96x40x16")
+        p.add_argument("--seed", type=int, default=0, help="probe-point seed")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", default=None, help="flat key = value settings file")
 
     runp = sub.add_parser("run", help="run a verification suite")
@@ -369,13 +343,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+            if args.config:
+                # argv[0] is the command; the file's flags go before the rest
+                args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; pass both through
+            return exc.code if isinstance(exc.code, int) else 2
         if args.command == "run":
             return run_command(args)
         return expand_command(args)

@@ -189,12 +189,6 @@ class RatExpr(Field):
             out = out - e * RatExpr(self.na * df, self.nb * df, den)._reduce()
         return out
 
-    def dilate(self, t):
-        """Parabolic dilation z -> t z, u -> t^2 u (so s -> t^2 s)."""
-        t = t if isinstance(t, GaussRational) else GaussRational(t)
-        den = {f.dilate(t): e for f, e in self.den.items()}
-        return RatExpr(self.na.dilate(t), self.nb.dilate(t) * t * t, den)
-
     def eval(self, point, s_val):
         num = self.na.eval(point) + self.nb.eval(point) * s_val
         d = GR_ONE
@@ -211,6 +205,15 @@ class RatExpr(Field):
 RX_ZERO = RatExpr()
 RX_ONE = RatExpr(na=P_ONE)
 RX_S = RatExpr(nb=P_ONE)
+
+
+def euler(f):
+    """The weighted Euler operator z f_z + zb f_zb + 2u f_u.
+
+    z and zb have weight 1, u (and so s) weight 2; f is homogeneous of
+    weight w exactly when euler(f) == w f.
+    """
+    return Z * f.diff("z") + ZB * f.diff("zb") + 2 * U * f.diff("u")
 
 
 class Atom(Frozen):

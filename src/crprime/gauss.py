@@ -27,11 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rat(num, den=1):
-    """The exact rational num/den, from ints or Fractions."""
-    return Fraction(num, den)
-
-
 class Frozen:
     __slots__ = ()
 

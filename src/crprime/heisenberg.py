@@ -11,7 +11,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .expr import LOG_2PI, LOG_S, LOG_ZETA, RX_ONE, RX_S, ZETA, LogExpr, RatExpr, log_atom
+from .expr import (
+    LOG_2PI,
+    LOG_S,
+    LOG_ZETA,
+    RX_ONE,
+    RX_S,
+    ZETA,
+    LogExpr,
+    RatExpr,
+    euler,
+    log_atom,
+)
 from .forms import one_form
 from .gauss import GR_I, Frozen, G as GQ
 from .poly import P_ONE, PI, U, Z, ZB, Poly
@@ -171,13 +182,14 @@ def flat_q2_identity() -> VerificationReport:
 # -- suites -------------------------------------------------------------------
 
 
-def heisenberg_suite() -> list:
+def heisenberg_suite(wrong_power: bool = False) -> list:
+    """The flat-model checks; wrong_power runs q3_identity's negative control."""
     fm = flat_model()
     st = fm.structure
     out = [
         green_harmonicity(),
         p3_log_rho(),
-        q3_identity(),
+        q3_identity(wrong_power),
         flat_torsion_of_hat(),
         flat_q2_identity(),
     ]
@@ -304,11 +316,10 @@ def heisenberg_suite() -> list:
             "kernel candidate is a real expression",
         )
     )
-    t = GQ("3/5")
     out.append(
         check_zero(
             "heisenberg.szego_homogeneity",
-            cand.dilate(t) - (t**-4) * cand,
+            euler(cand) + 4 * cand,
             "derived",
             "kernel candidate is homogeneous of weight -4 under parabolic dilation",
         )

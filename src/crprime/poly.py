@@ -23,9 +23,10 @@ operand, its truncation or its negation).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
-from .gauss import GR_ONE, GR_ZERO, Exact, GaussRational, rat
+from .gauss import GR_ONE, GR_ZERO, Exact, GaussRational
 
 VARS = ("z", "zb", "u", "pi")
 _SLOT = {"z": 0, "zb": 1, "u": 2, "pi": 3}
@@ -213,7 +214,7 @@ class Poly(Exact):
         num = self.terms.get(e)
         if num is None:
             return GR_ZERO
-        return GaussRational(rat(num[0], self.den), rat(num[1], self.den))
+        return GaussRational(Fraction(num[0], self.den), Fraction(num[1], self.den))
 
     def coeffs(self):
         """(exps, GaussRational) pairs in term order."""
@@ -282,21 +283,6 @@ class Poly(Exact):
                     term = term * power(s, e[s])
             out = out + term
         return out if self.den == 1 else out / self.den
-
-    def dilate(self, t):
-        """Anisotropic dilation (z,zb,u) -> (tz, t zb, t^2 u) for rational t."""
-        tr, ti, td = _split(t)
-        top = self.max_wdeg()
-        # the term of weight w gains (tr + ti i)^w * td^(top - w) over td^top
-        scale = [(td ** top, 0)]
-        for _ in range(top):
-            r, i = scale[-1]
-            scale.append(((r * tr - i * ti) // td, (r * ti + i * tr) // td))
-        out = {}
-        for e, (re, im) in self.terms.items():
-            sr, si = scale[wdeg(e)]
-            out[e] = (re * sr - im * si, re * si + im * sr)
-        return _reduced(out, self.den * td ** top)
 
     # -- division -----------------------------------------------------------
 

@@ -17,6 +17,10 @@ SCHEMA = "crprime-report/1"
 
 _MAX_RESIDUAL_CHARS = 400
 
+# residuals a report holds as they are; any other is an exact scalar, kept
+# as its residual_repr
+_SERIALIZED = (str, int, float, type(None))
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -32,7 +36,7 @@ class VerificationReport:
             raise ValueError(f"bad status {self.status!r}")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"bad provenance {self.provenance!r}")
-        if not isinstance(self.residual, (str, int, float, type(None))):
+        if not isinstance(self.residual, _SERIALIZED):
             raise TypeError("residual must be serialized before constructing the report")
 
 
@@ -46,38 +50,22 @@ def residual_repr(x) -> str:
     return s
 
 
+def _report(check_id, status, residual, provenance, anchor, detail) -> VerificationReport:
+    if not isinstance(residual, _SERIALIZED):
+        residual = residual_repr(residual)
+    return VerificationReport(check_id, status, residual, provenance, anchor, detail)
+
+
 def check_zero(check_id, scalar, provenance, anchor, detail="") -> VerificationReport:
-    ok = scalar.is_zero()
-    return VerificationReport(
-        check_id=check_id,
-        status="pass" if ok else "fail",
-        residual=residual_repr(scalar),
-        provenance=provenance,
-        anchor=anchor,
-        detail=detail,
-    )
+    return check_true(check_id, scalar.is_zero(), scalar, provenance, anchor, detail)
 
 
 def check_true(check_id, ok, residual, provenance, anchor, detail="") -> VerificationReport:
-    return VerificationReport(
-        check_id=check_id,
-        status="pass" if ok else "fail",
-        residual=residual if isinstance(residual, (str, int, float, type(None))) else residual_repr(residual),
-        provenance=provenance,
-        anchor=anchor,
-        detail=detail,
-    )
+    return _report(check_id, "pass" if ok else "fail", residual, provenance, anchor, detail)
 
 
 def recorded(check_id, residual, provenance, anchor, detail="") -> VerificationReport:
-    return VerificationReport(
-        check_id=check_id,
-        status="recorded",
-        residual=residual if isinstance(residual, (str, int, float, type(None))) else residual_repr(residual),
-        provenance=provenance,
-        anchor=anchor,
-        detail=detail,
-    )
+    return _report(check_id, "recorded", residual, provenance, anchor, detail)
 
 
 def has_failure(reports) -> bool:

@@ -11,8 +11,9 @@ it, so every O(rho^k) claim emitted by this layer is a true statement.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .gauss import GR_ONE, Exact, GaussRational, rat
+from .gauss import GR_ONE, Exact, GaussRational
 from .poly import P_ONE, P_ZERO, Poly
 
 INF = math.inf
@@ -153,7 +154,7 @@ class GradedSeries(Exact):
             for k in range(1, w + 1):
                 if not kx[k].is_zero():
                     acc = acc + kx[k].mul(y[w - k])
-            y.append(acc * GaussRational(rat(1, w)))
+            y.append(acc * GaussRational(Fraction(1, w)))
         return GradedSeries(sum(y, P_ZERO), n)
 
     def __repr__(self):

@@ -23,6 +23,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Optional
@@ -32,7 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .expr import SIGMA, LogExpr, RatExpr, log_atom
-from .gauss import GR_I, G, GaussRational, rat
+from .gauss import GR_I, G, GaussRational
 from .heisenberg import flat_model
 from .poly import P_ONE, P_ZERO, U, Z, ZB, Poly
 from .report import VerificationReport, check_true, check_zero, recorded
@@ -54,7 +55,7 @@ SIXTEEN_PI_SQ = 16 * math.pi**2
 
 # the exact value pi takes wherever an exact scalar is evaluated at a point;
 # dyadic, so the compiled evaluation at a dyadic probe sees exact inputs
-PI_STAND_IN = G(rat(25, 8))
+PI_STAND_IN = G(Fraction(25, 8))
 EXACT_ORIGIN = {"z": G(0), "zb": G(0), "u": G(0), "pi": PI_STAND_IN}
 
 
@@ -250,7 +251,7 @@ class ChartIntegrand:
 
 def _frac(c):
     # centers come in as ints, Fractions, or (num, den) pairs
-    return rat(*c) if isinstance(c, tuple) else rat(c)
+    return Fraction(*c) if isinstance(c, tuple) else Fraction(c)
 
 
 def _taylor_shift(polys, zc, uc):
@@ -410,7 +411,7 @@ def _dyadic_probe(rng):
         p, q = rng.randint(-8, 8), rng.randint(-8, 8)
         if p or q:
             break
-    z = G(rat(p, 2), rat(q, 2))
+    z = G(Fraction(p, 2), Fraction(q, 2))
     m = (z * z.conj()).re
     t = rng.choice([2, 4, 8])
     u = m * (t * t - 1) / (2 * t)

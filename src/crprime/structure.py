@@ -22,6 +22,7 @@ opposite signs, and raising is always by g^{1 1b}.  The pair
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .expr import LogExpr
@@ -146,20 +147,9 @@ def verify_structure(struct) -> list:
 
 
 def _tokenize(pattern: str):
-    toks = []
-    i = 0
-    while i < len(pattern):
-        if pattern[i] != "1":
-            raise ValueError(f"bad index pattern {pattern!r}")
-        if i + 1 < len(pattern) and pattern[i + 1] == "b":
-            toks.append("1b")
-            i += 2
-        else:
-            toks.append("1")
-            i += 1
-    if not 1 <= len(toks) <= 4:
-        raise ValueError("index patterns supported up to 4th order")
-    return toks
+    if not re.fullmatch("(1b?){1,4}", pattern):
+        raise ValueError(f"bad index pattern {pattern!r}: one to four of 1 and 1b")
+    return re.findall("1b?", pattern)
 
 
 def _cov_step(struct, value, weights, token):

@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 from random import Random
 
-from crprime.gauss import G, GR_ZERO, rat
+from crprime.gauss import G, GR_ZERO
 from crprime.moser import MoserData
 from crprime.report import SCHEMA, VerificationReport
 
@@ -27,21 +27,21 @@ def random_probe(rng):
             break
     z = G(p, q)
     m = z * z.conj()
-    t = rat(rng.randint(2, 9), rng.randint(1, 3))
+    t = Fraction(rng.randint(2, 9), rng.randint(1, 3))
     u = m.re * (t * t - 1) / (2 * t)
     s_val = G(m.re * (t * t + 1) / (2 * t))
     point = {
         "z": z,
         "zb": z.conj(),
         "u": G(u),
-        "pi": G(rat(355, 113)),  # any positive stand-in; pi never cancels
+        "pi": G(Fraction(355, 113)),  # any positive stand-in; pi never cancels
     }
-    v_zeta = G(rat(rng.randint(1, 7)), rat(rng.randint(1, 7)))
+    v_zeta = G(Fraction(rng.randint(1, 7)), Fraction(rng.randint(1, 7)))
     atom_values = {
-        "log_s": G(rat(rng.randint(1, 9), 2)),
+        "log_s": G(Fraction(rng.randint(1, 9), 2)),
         "log_zeta": v_zeta,
         "log_zetab": v_zeta.conj(),
-        "log_2pi": G(rat(rng.randint(1, 9), 3)),
+        "log_2pi": G(Fraction(rng.randint(1, 9), 3)),
     }
     return point, s_val, atom_values
 

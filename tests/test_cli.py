@@ -180,7 +180,7 @@ def test_worker_errors_reach_the_parent(capsys, monkeypatch, forked):
 
 @needs_fork
 def test_run_all_fails_when_the_worker_dies_without_a_result(monkeypatch, forked):
-    monkeypatch.setattr(cli, "heisenberg_suite", lambda: os._exit(3))
+    monkeypatch.setattr(cli, "heisenberg_suite", lambda **_: os._exit(3))
     with pytest.raises(RuntimeError, match=r"heisenberg and conformal .*exit code 3"):
         main(["run", "all", "--grid", FAST_GRID])
 
@@ -190,7 +190,7 @@ def test_run_all_kills_the_worker_when_its_own_suite_raises(monkeypatch, forked)
     def boom(*args, **kwargs):
         raise ArithmeticError("raised in the parent")
 
-    monkeypatch.setattr(cli, "heisenberg_suite", lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "heisenberg_suite", lambda **_: time.sleep(60))
     monkeypatch.setattr(cli, "moser_suite", boom)
     start = time.monotonic()
     with pytest.raises(ArithmeticError, match="raised in the parent"):
@@ -343,6 +343,27 @@ def test_config_file_merges_with_flag_overrides(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["meta"]["seed"] == 9
     assert doc["meta"]["grid"] == FAST_GRID
+
+
+@pytest.mark.parametrize("argv, settings", [
+    (("run", "sphere"), {"grid": FAST_GRID, "tol": "1e-6", "seed": "3", "format": "json"}),
+    (("expand", "R"), {"order": "9"}),
+])
+def test_config_file_equals_its_flags(capsys, tmp_path, argv, settings):
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in settings.items()))
+    flags = [arg for key, val in settings.items() for arg in (f"--{key}", val)]
+    by_flags = run_cli(capsys, *argv, *flags)
+    assert by_flags[0] == 0
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == by_flags
+
+
+def test_bad_config_value_names_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text("order = x\n")
+    code, out, err = run_cli(capsys, "expand", "R", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "--order" in err
 
 
 def test_config_file_errors_are_usage_errors(capsys, tmp_path):

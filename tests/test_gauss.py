@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from crprime.expr import LOG_S, LOG_ZETA, RX_S, Atom, RatExpr
 from crprime.forms import VectorField, one_form
-from crprime.gauss import G, GR_I, GR_ONE, GR_ZERO, rat
+from crprime.gauss import G, GR_I, GR_ONE, GR_ZERO
 from crprime.heisenberg import flat_model
 from crprime.poly import P_ONE, U, Z, ZB, Poly
 from crprime.series import GradedSeries
@@ -10,9 +12,9 @@ from crprime.series import GradedSeries
 
 def test_construct_and_repr():
     a = G(3, 2)
-    assert a.re == rat(3) and a.im == rat(2)
+    assert a.re == Fraction(3) and a.im == Fraction(2)
     b = G("3/4", "-1/2")
-    assert b.re == rat(3, 4) and b.im == rat(-1, 2)
+    assert b.re == Fraction(3, 4) and b.im == Fraction(-1, 2)
 
 
 def test_field_ops():
@@ -66,7 +68,7 @@ def test_complex_conversion():
 def test_immutable():
     a = G(1, 1)
     with pytest.raises(AttributeError):
-        a.re = rat(2)
+        a.re = Fraction(2)
 
 
 def test_field_axioms_sampled():

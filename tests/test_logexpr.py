@@ -19,6 +19,7 @@ from crprime.expr import (
     ZETAB,
     LogExpr,
     RatExpr,
+    euler,
 )
 from crprime.gauss import G
 from crprime.poly import U, Z, ZB
@@ -112,12 +113,12 @@ def test_exp_of_log_combination():
 
 
 def test_dilation_homogeneity():
-    t = G("3/7")
+    # the Euler operator multiplies a homogeneous expression by its weight
     f = RX_ONE / RatExpr(SIGMA)  # Sigma = rho^4 has weight 4
-    assert f.dilate(t) == f * (t.invert() ** 4)
+    assert euler(f) == -4 * f
     g = RatExpr(ZB) / RatExpr(ZETA)  # weight -1
-    assert g.dilate(t) == g * t.invert()
-    assert RX_S.dilate(t) == RX_S * t * t
+    assert euler(g) == -g
+    assert euler(RX_S) == 2 * RX_S
 
 
 def test_eval_probes_agree_with_structure():

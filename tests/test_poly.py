@@ -76,14 +76,6 @@ def test_eval():
     assert p.eval(pt) == G(2, 2) + G("3/2") - G(7)
 
 
-def test_dilate():
-    p = Z * ZB + U
-    t = G("1/3")
-    assert p.dilate(t) == t * t * (Z * ZB + U)
-    q = Z + U**2
-    assert q.dilate(t) == t * Z + (t**2) ** 2 * U**2
-
-
 def test_divide_exact():
     a = Z**2 - ZB**2
     b = Z - ZB

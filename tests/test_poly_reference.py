@@ -137,17 +137,9 @@ def test_diff_conj_truncate_match_reference(a, var, order):
 
 
 @SETTINGS
-@given(REFS, COEFFS)
-def test_dilate_and_monic_match_reference(a, t):
+@given(REFS)
+def test_monic_matches_reference(a):
     a = clean(a)
-    if t == (0, 0):
-        return
-    want = {}
-    for e, c in a.items():
-        for _ in range(wdeg(e)):
-            c = (c[0] * t[0] - c[1] * t[1], c[0] * t[1] + c[1] * t[0])
-        want[e] = c
-    same(poly(a).dilate(GaussRational(*t)), want)
     monic, lc = poly(a).monic()
     assert monic * lc == poly(a)
     if a:

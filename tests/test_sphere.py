@@ -15,7 +15,7 @@ import pytest
 from crprime import sphere
 from crprime.expr import LogExpr, RatExpr
 from crprime.forms import exterior_d, reeb_field, wedge
-from crprime.gauss import G, rat
+from crprime.gauss import G
 from crprime.heisenberg import flat_model
 from crprime.poly import P_ONE, Poly
 from crprime.report import has_failure
@@ -87,9 +87,9 @@ def test_unhinted_solve_of_the_chart_form():
 
 def test_curvature_is_the_constant_two():
     hat = sphere_structure_in_chart()
-    pt = {"z": G(1, 2), "zb": G(1, -2), "u": G(rat(3, 7)), "pi": G(rat(355, 113))}
+    pt = {"z": G(1, 2), "zb": G(1, -2), "u": G(Fraction(3, 7)), "pi": G(Fraction(355, 113))}
     assert isinstance(hat.R, RatExpr)
-    assert hat.R.eval(pt, G(rat(11, 2))) == G(2)
+    assert hat.R.eval(pt, G(Fraction(11, 2))) == G(2)
     assert (q_prime(hat) - 4).is_zero()
 
 
@@ -286,8 +286,8 @@ def test_terms_with_exponent_zero_factors_leave_every_float_unchanged():
     # a constant, pi-only terms, a u-only term and a pair z^2, zb^2 (a != b);
     # the powers with exponent 0 are the float 1.0, which multiplies exactly,
     # and three pi powers share one u^0 weight, which their order can change
-    na = (Poly.const(G(rat(-9, 7))) + Poly.monomial(G(rat(-9, 7)), epi=1)
-          + Poly.monomial(G(rat(2, 7)), epi=2) + Poly.monomial(G(-1), eu=3)
+    na = (Poly.const(G(Fraction(-9, 7))) + Poly.monomial(G(Fraction(-9, 7)), epi=1)
+          + Poly.monomial(G(Fraction(2, 7)), epi=2) + Poly.monomial(G(-1), eu=3)
           + Poly.monomial(G(1, 2), ezb=2) + Poly.monomial(G(1, -2), ez=2))
     nb = Poly.monomial(G(1, -1), ez=1) + Poly.monomial(G(1, 1), ezb=1)
     e = RatExpr(na=na, nb=nb, den={CHART_DENOMINATOR: 2})
@@ -351,8 +351,8 @@ def test_taylor_shift_is_exact(center):
     zc, uc = _exact_center(center)
     shifted = _taylor_shift(polys, zc, uc)
     # zb is an independent variable here, not the conjugate of z
-    w, wb, v = G(rat(2, 3), rat(-1, 5)), G(rat(-7, 4), rat(1, 2)), G(rat(3, 11))
-    at_w = {"z": w, "zb": wb, "u": v, "pi": G(rat(355, 113))}
+    w, wb, v = G(Fraction(2, 3), Fraction(-1, 5)), G(Fraction(-7, 4), Fraction(1, 2)), G(Fraction(3, 11))
+    at_w = {"z": w, "zb": wb, "u": v, "pi": G(Fraction(355, 113))}
     at_z = {"z": w + zc, "zb": wb + zc.conj(), "u": v + uc, "pi": at_w["pi"]}
     for p, q in zip(polys, shifted):
         assert q.eval(at_w) == p.eval(at_z)
