@@ -214,7 +214,6 @@ def _run_jobs(jobs) -> dict:
             raise
         finally:
             _, status = os.waitpid(pid, 0)
-            gc.unfreeze()
     if status != 0 or not data:
         raise RuntimeError(f"the worker running {' and '.join(forked)} ended without a "
                            f"result (exit code {os.waitstatus_to_exitcode(status)})")
@@ -343,6 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No later collection walks or frees the heap the imports built (numpy's
+    # above all), and exit skips tearing it down: the OS reclaims it anyway.
+    gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:

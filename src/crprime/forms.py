@@ -113,9 +113,6 @@ class DifferentialForm(Frozen):
             c = (c[1], c[0], c[2])
         return DifferentialForm(self.degree, map(_neg, c) if self.degree >= 2 else c)
 
-    def __repr__(self):
-        return f"DifferentialForm({self.degree}, {self.comps!r})"
-
 
 class VectorField(Frozen):
     __slots__ = ("vz", "vzb", "vu")
@@ -132,9 +129,6 @@ class VectorField(Frozen):
         """Directional derivative of a scalar."""
         vs = (self.vz, self.vzb, self.vu)
         return reduce(_add, (v * f.diff(var) for var, v in zip(_VARS, vs) if not v.is_zero()), GR_ZERO)
-
-    def __repr__(self):
-        return f"VectorField({self.vz!r}, {self.vzb!r}, {self.vu!r})"
 
 
 def form_from_scalar(f):

@@ -19,12 +19,22 @@ neither sees the order of `terms`, and no operation promises one.  Everything
 that prints or sums terms in floating point (repr, sphere.py) sorts them
 first.  A product or sum with a 0 or 1 operand returns at once (0, the other
 operand, its truncation or its negation).
+
+Each polynomial caches its weight range (least, greatest term weight) the
+first time it is asked.  min_wdeg and max_wdeg read it; truncate answers from
+it when the order keeps every term or none, graded_part when the weight lies
+outside it or is the only one, and a truncated mul whose two maxima sum below
+the order drops nothing and tests no pair.  Otherwise mul sorts the inner
+operand by weight once and multiplies each outer term by the prefix below the
+order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .gauss import GR_ONE, GR_ZERO, Exact, GaussRational
 
@@ -54,6 +64,7 @@ def _make(terms, den):
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "den", den)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_wrange", None)
     return p
 
 
@@ -72,7 +83,7 @@ def _reduced(terms, den):
 
 
 class Poly(Exact):
-    __slots__ = ("terms", "den", "_hash")
+    __slots__ = ("terms", "den", "_hash", "_wrange")
     _LIFTS = (int, GaussRational)
 
     def __init__(self, terms=None):
@@ -88,6 +99,7 @@ class Poly(Exact):
         object.__setattr__(self, "terms", t)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_wrange", None)
 
     # -- constructors ---------------------------------------------------
 
@@ -149,17 +161,17 @@ class Poly(Exact):
             return o if order is None else o.truncate(order)
         if len(a) > len(b):
             a, b = b, a
-        inner = [(e[0], e[1], e[2], e[3], e[0] + e[1] + 2 * e[2], re, im)
-                 for e, (re, im) in b.items()]
-        if order is None:
-            order = _INF
+        inner = [(e[0] + e[1] + 2 * e[2], *e, re, im) for e, (re, im) in b.items()]
+        weights = None
+        if order is not None and self.max_wdeg() + o.max_wdeg() >= order:
+            # inner terms by weight: each outer row takes the prefix below its room
+            inner.sort(key=itemgetter(0))
+            weights = [term[0] for term in inner]
         t = {}
         get = t.get
         for (z1, zb1, u1, p1), (r1, i1) in a.items():
-            room = order - (z1 + zb1 + 2 * u1)
-            for z2, zb2, u2, p2, w2, r2, i2 in inner:
-                if w2 >= room:
-                    continue
+            row = inner if weights is None else inner[:bisect_left(weights, order - z1 - zb1 - 2 * u1)]
+            for _, z2, zb2, u2, p2, r2, i2 in row:
                 e = (z1 + z2, zb1 + zb2, u1 + u2, p1 + p2)
                 re = r1 * r2 - i1 * i2
                 im = r1 * i2 + i1 * r2
@@ -223,26 +235,38 @@ class Poly(Exact):
     def const_term(self):
         return self._scalar((0, 0, 0, 0))
 
+    def _weights(self):
+        """(least, greatest) weight of a term, (inf, 0) for zero; computed once."""
+        if self._wrange is None:
+            ws = [e[0] + e[1] + 2 * e[2] for e in self.terms]
+            object.__setattr__(self, "_wrange", (min(ws), max(ws)) if ws else (_INF, 0))
+        return self._wrange
+
     def min_wdeg(self):
         """Weighted valuation; +inf for the zero polynomial."""
-        if not self.terms:
-            return float("inf")
-        return min(wdeg(e) for e in self.terms)
+        return self._weights()[0]
 
     def max_wdeg(self):
-        if not self.terms:
-            return 0
-        return max(wdeg(e) for e in self.terms)
+        return self._weights()[1]
 
     def _select(self, keep):
-        t = {e: c for e, c in self.terms.items() if keep(wdeg(e))}
-        return self if len(t) == len(self.terms) else _reduced(t, self.den)
+        return _reduced({e: c for e, c in self.terms.items() if keep(wdeg(e))}, self.den)
 
     def truncate(self, order):
         """Drop all monomials of weight >= order."""
+        lo, hi = self._weights()
+        if hi < order:
+            return self
+        if lo >= order:
+            return P_ZERO
         return self._select(lambda w: w < order)
 
     def graded_part(self, k):
+        lo, hi = self._weights()
+        if lo == hi == k:
+            return self
+        if not lo <= k <= hi:
+            return P_ZERO
         return self._select(lambda w: w == k)
 
     def __eq__(self, other):

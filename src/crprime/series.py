@@ -51,7 +51,7 @@ class GradedSeries(Exact):
         False: no, there is a nonzero term of weight < k.
         None: truncation order too low to decide.
         """
-        if not self.poly.truncate(k).is_zero():
+        if self.poly.min_wdeg() < k:
             return False
         if self.order < k:
             return None

@@ -7,7 +7,6 @@ either layer trips the gate.
 
 import io
 import json
-import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 

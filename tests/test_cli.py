@@ -186,6 +186,19 @@ def test_run_all_fails_when_the_worker_dies_without_a_result(monkeypatch, forked
 
 
 @needs_fork
+def test_the_import_heap_stays_frozen(capsys, forked):
+    # a heap thawed again is walked and freed at exit, which the OS does anyway
+    gc.unfreeze()
+    assert main(["run", "heisenberg", "--format", "json"]) == 0
+    capsys.readouterr()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    results = cli._run_jobs({"moser": lambda: [], "heisenberg": lambda: []})
+    assert sorted(results) == ["heisenberg", "moser"]
+    assert gc.get_freeze_count() >= frozen
+
+
+@needs_fork
 def test_run_all_kills_the_worker_when_its_own_suite_raises(monkeypatch, forked):
     def boom(*args, **kwargs):
         raise ArithmeticError("raised in the parent")

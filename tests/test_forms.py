@@ -3,7 +3,6 @@
 from crprime.expr import RatExpr
 from crprime.forms import (
     AdaptedCoframe,
-    DifferentialForm,
     VectorField,
     contract,
     evaluate,

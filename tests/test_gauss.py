@@ -6,7 +6,7 @@ from crprime.expr import LOG_S, LOG_ZETA, RX_S, Atom, RatExpr
 from crprime.forms import VectorField, one_form
 from crprime.gauss import G, GR_I, GR_ONE, GR_ZERO
 from crprime.heisenberg import flat_model
-from crprime.poly import P_ONE, U, Z, ZB, Poly
+from crprime.poly import P_ONE, U, Z, ZB
 from crprime.series import GradedSeries
 
 

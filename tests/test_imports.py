@@ -12,6 +12,7 @@ from crprime.poly import Poly
 from crprime.series import GradedSeries
 
 SRC = Path(crprime.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_private_names_imported_across_modules():
@@ -28,14 +29,17 @@ def test_no_private_names_imported_across_modules():
 
 
 def test_every_module_level_import_is_used_and_no_function_imports():
+    # tests keep their function-level imports; an unused import is refused in both
     offenders = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
                 offenders += [f"{path.name}: {a.name} unused" for a in node.names
                               if (a.asname or a.name).split(".")[0] not in used]
+        if path.parent != SRC:
+            continue
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 offenders += [f"{path.name}:{node.lineno}: import in {fn.name}" for node in ast.walk(fn)

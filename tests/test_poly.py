@@ -1,9 +1,23 @@
 """Exact polynomial layer: arithmetic, grading, derivatives, conjugation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crprime.gauss import G, GaussRational
-from crprime.poly import P_ONE, P_ZERO, PI, U, Z, ZB, wdeg
+from crprime.poly import P_ONE, P_ZERO, PI, U, Z, ZB, Poly, wdeg
+
+# weights 0..10 over every slot, small Gaussian coefficients that can cancel
+POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+    st.builds(G, st.integers(-2, 2), st.integers(-2, 2)), max_size=8).map(Poly)
+ORDERS = st.integers(-1, 22)
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def scan(p, keep):
+    """The terms of p whose weight passes keep, by brute force over p.terms."""
+    return Poly({e: c for e, c in p.coeffs() if keep(wdeg(e))})
 
 
 def test_weights():
@@ -95,3 +109,42 @@ def test_coercion():
     assert Z + 1 == P_ONE + Z
     assert 2 * Z == Z + Z
     assert Z * GaussRational(0) == P_ZERO
+
+
+@SETTINGS
+@given(POLYS, ORDERS)
+def test_weight_range_queries_match_a_scan(p, k):
+    ws = [wdeg(e) for e in p.terms]
+    assert p.min_wdeg() == min(ws, default=float("inf"))
+    assert p.max_wdeg() == max(ws, default=0)
+    assert p.truncate(k) == scan(p, lambda w: w < k)
+    assert p.graded_part(k) == scan(p, lambda w: w == k)
+    if ws and all(w < k for w in ws):
+        assert p.truncate(k) is p
+
+
+@SETTINGS
+@given(POLYS, POLYS, ORDERS)
+def test_truncated_product_is_the_full_product_truncated(a, b, order):
+    want = scan(a * b, lambda w: w < order)
+    assert a.mul(b, order) == want
+    assert b.mul(a, order) == want
+
+
+def test_weight_range_edge_cases():
+    assert (P_ZERO.min_wdeg(), P_ZERO.max_wdeg()) == (float("inf"), 0)
+    assert P_ZERO.truncate(0) == P_ZERO.truncate(5) == P_ZERO.graded_part(0) == P_ZERO
+    p = Z + U * ZB  # weights 1 and 3
+    q = 1 + Z * ZB  # weights 0 and 2
+    # an order that cuts inside the product: weights 1, 3, 3, 5 against order 4
+    assert p.mul(q, 4) == Z + U * ZB + Z * Z * ZB
+    assert q.mul(p, 4) == p.mul(q, 4)
+    # maxima that sum below the order keep the whole product
+    assert p.mul(q, 6) == p * q
+    assert p.mul(q, 1) == P_ZERO
+    assert p.truncate(4) is p
+    assert p.truncate(1) == P_ZERO
+    assert p.truncate(2) == Z
+    assert p.graded_part(2) == P_ZERO
+    h = Z * ZB
+    assert h.graded_part(2) is h
