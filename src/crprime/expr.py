@@ -39,9 +39,9 @@ def _normalize_den(den):
     """
     out = {}
     scale = GR_ONE
-    stack = list(den.items())
-    while stack:
-        f, e = stack.pop()
+    # Reversed on purpose: the residuals of heisenberg.log_not_harmonic and
+    # heisenberg.q2_term.* print the factors in this order.
+    for f, e in reversed(den.items()):
         if e == 0:
             continue
         if e < 0:
@@ -54,11 +54,8 @@ def _normalize_den(den):
         f, lc = f.monic()
         if lc is not GR_ONE:
             scale = scale * lc**-e
-        if f == SIGMA:
-            stack.append((ZETA, e))
-            stack.append((ZETAB, e))
-            continue
-        out[f] = out.get(f, 0) + e
+        for g in (ZETAB, ZETA) if f == SIGMA else (f,):
+            out[g] = out.get(g, 0) + e
     return out, scale
 
 
@@ -279,13 +276,10 @@ class LogExpr(Exact):
     def is_zero(self):
         return not self.terms
 
-    def rational_part(self):
-        return self.terms.get((), RX_ZERO)
-
     def as_rat(self):
         """The RatExpr value when no atom survives, else None."""
         if all(k == () for k in self.terms):
-            return self.rational_part()
+            return self.terms.get((), RX_ZERO)
         return None
 
     # -- arithmetic ----------------------------------------------------------

@@ -2,19 +2,23 @@
 
 A form is the tuple of its component scalars: one for a 0-form and for a
 3-form (on dz^dzb^du), those on dz, dzb, du for a 1-form, and those on
-dzb^du, du^dz, dz^dzb for a 2-form, so that w(X, Y) = w . (X x Y).  Wedge,
-d (grad, curl, div) and the contraction i_X w = w x X of a 2-form are then
-cross and dot products.  Components are exact scalars, never bare ints:
-graded series, closed-form expressions or Gaussian rationals, with +, -, *,
-conj, diff, is_zero and, for the frame builders, invert.  A zero component
-is stored as GR_ZERO, and no product or sum touches it, nor a zero vector
-component.
+dzb^du, du^dz, dz^dzb for a 2-form, so that w(X) = w . X and
+w(X, Y) = w . (X x Y).  Wedge, d (grad, curl, div) and the pairing of a
+1-form with a vector are then cross and dot products.  Components are exact
+scalars, never bare ints: graded series, closed-form expressions or Gaussian
+rationals, with +, -, *, conj, diff, is_zero and, for the frame builders,
+invert.  A zero component is stored as GR_ZERO, and no product or sum
+touches it, nor a zero vector component.
 
 AdaptedCoframe builds the frame (T, Z1, Z1b) dual to a coframe (theta, theta1,
-theta1b) without a matrix inverse: T and Z1 are cross products of the other
-two forms' components, each scaled to pair to 1 with its own form, and
-Z1b = conj Z1 because theta is real.  reeb_field shares the scaling: the
-kernel of the 2-form dtheta is its own component vector.
+theta1b) without a matrix inverse.  It inverts one determinant,
+det = theta . (theta1 x theta1b), which is imaginary because theta is real:
+T = (theta1 x theta1b)/det, Z1 = (theta1b x theta)/det and Z1b = conj Z1.
+Since (a x b) x (b x c) = (a . (b x c)) b, the frame's cross products are
+T x Z1 = theta1b/det, T x Z1b = -theta1/det and Z1 x Z1b = theta/det, so a
+2-form pairs with two frame vectors by one dot product with the coframe.
+reeb_field scales the same way: the kernel of the 2-form dtheta is its own
+component vector.
 """
 
 from __future__ import annotations
@@ -160,60 +164,62 @@ def exterior_d(form: DifferentialForm) -> DifferentialForm:
 
 
 def contract(form: DifferentialForm, X: VectorField) -> DifferentialForm:
-    """Interior product: (i_X w)(Y) = w(X, Y), which is Y . (w x X) for a 2-form."""
-    v = (X.vz, X.vzb, X.vu)
-    if form.degree == 1:
-        return DifferentialForm(0, (_dot(form.comps, v),))
-    if form.degree == 2:
-        return DifferentialForm(1, _cross(form.comps, v))
-    raise ValueError("contract takes a 1- or 2-form")
+    """Interior product of a 1-form: the 0-form w(X) = w . X."""
+    if form.degree != 1:
+        raise ValueError("contract takes a 1-form")
+    return DifferentialForm(0, (_dot(form.comps, (X.vz, X.vzb, X.vu)),))
 
 
-def evaluate(form: DifferentialForm, *vectors) -> object:
-    if len(vectors) != form.degree:
-        raise ValueError("wrong number of vector arguments")
-    for X in vectors:
-        form = contract(form, X)
-    return form.comps[0]
+def evaluate(form: DifferentialForm, X: VectorField) -> object:
+    """The scalar w(X) of a 1-form w."""
+    return contract(form, X).comps[0]
 
 
-def _normalised(v, form: DifferentialForm) -> VectorField:
-    """v / form(v): the multiple of the component triple v on which form is 1."""
-    scale = _dot(form.comps, v).invert()
+def _scaled(scale, v) -> VectorField:
     return VectorField(*_map(lambda c: scale * c, v))
 
 
 def reeb_field(theta: DifferentialForm, dtheta: DifferentialForm) -> VectorField:
     """The unique T with theta(T) = 1 and dtheta(T, .) = 0; dtheta is exterior_d(theta)."""
-    return _normalised(dtheta.comps, theta)
+    return _scaled(_dot(theta.comps, dtheta.comps).invert(), dtheta.comps)
 
 
 class AdaptedCoframe(Frozen):
     """Coframe (theta, theta1, theta1b) with its dual frame (T, Z1, Z1b).
 
-    theta is real, so theta1b = conj theta1 and Z1b = conj Z1.
+    theta is real, so theta1b = conj theta1 and Z1b = conj Z1.  inv_det is
+    1/(theta . (theta1 x theta1b)), the one inverse the frame is built from.
     """
 
-    __slots__ = ("theta", "theta1", "theta1b", "T", "Z1", "Z1b")
+    __slots__ = ("theta", "theta1", "theta1b", "T", "Z1", "Z1b", "inv_det")
 
     def __init__(self, theta, theta1):
         theta1b = theta1.conj()
-        T = _normalised(_cross(theta1.comps, theta1b.comps), theta)
-        Z1 = _normalised(_cross(theta1b.comps, theta.comps), theta1)
-        for name, value in zip(self.__slots__, (theta, theta1, theta1b, T, Z1, Z1.conj())):
+        normal = _cross(theta1.comps, theta1b.comps)
+        inv_det = _dot(theta.comps, normal).invert()
+        T = _scaled(inv_det, normal)
+        Z1 = _scaled(inv_det, _cross(theta1b.comps, theta.comps))
+        for name, value in zip(self.__slots__, (theta, theta1, theta1b, T, Z1, Z1.conj(), inv_det)):
             object.__setattr__(self, name, value)
 
     def expand_in_coframe(self, form: DifferentialForm) -> dict:
-        """Components of a 1- or 2-form against theta, theta1, theta1b and their wedges."""
-        T, Z1, Z1b = self.T, self.Z1, self.Z1b
+        """Components of a 1- or 2-form against theta, theta1, theta1b and their wedges.
+
+        The coefficient of theta^theta1 in a 2-form w is w(T, Z1) = (w . theta1b)/det,
+        that of theta^theta1b is w(T, Z1b) = -(w . theta1)/det, and that of
+        theta1^theta1b is w(Z1, Z1b) = (w . theta)/det.
+        """
         if form.degree == 1:
             return {
-                "theta": evaluate(form, T),
-                "theta1": evaluate(form, Z1),
-                "theta1b": evaluate(form, Z1b),
+                "theta": evaluate(form, self.T),
+                "theta1": evaluate(form, self.Z1),
+                "theta1b": evaluate(form, self.Z1b),
             }
+        if form.degree != 2:
+            raise ValueError("expand_in_coframe takes a 1- or 2-form")
+        on = lambda f: _prod(self.inv_det, _dot(form.comps, f.comps))
         return {
-            "theta^theta1": evaluate(form, T, Z1),
-            "theta^theta1b": evaluate(form, T, Z1b),
-            "theta1^theta1b": evaluate(form, Z1, Z1b),
+            "theta^theta1": on(self.theta1b),
+            "theta^theta1b": _neg(on(self.theta1)),
+            "theta1^theta1b": on(self.theta),
         }

@@ -137,9 +137,6 @@ class GaussRational(Field):
     def __neg__(self):
         return GaussRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def invert(self):
         n = self.re * self.re + self.im * self.im
         if n == 0:

@@ -467,8 +467,8 @@ GRADED_GOAL = 8
 GRADED_FLOOR = GRADED_GOAL + 5
 
 
-def graded_conformal_check(order: int = 16, goal: int = GRADED_GOAL) -> list:
-    """Graded-mode dual path for a polynomial conformal factor, to weight `goal`."""
+def graded_conformal_check(order: int = 16) -> list:
+    """Graded-mode dual path for a polynomial conformal factor, to weight GRADED_GOAL."""
     st = flat_series_structure(order)
     ups = GradedSeries(
         Z * ZB + GQ("1/4") * U * U + GQ("1/8") * (Z * Z * ZB + Z * ZB * ZB), order
@@ -477,18 +477,18 @@ def graded_conformal_check(order: int = 16, goal: int = GRADED_GOAL) -> list:
     return [
         check_true(
             "conformal.graded_torsion",
-            d_tor.is_zero() and d_tor.order >= goal,
+            d_tor.is_zero() and d_tor.order >= GRADED_GOAL,
             residual_repr(d_tor),
             "derived",
-            f"graded torsion dual path agrees through weight {goal}",
+            f"graded torsion dual path agrees through weight {GRADED_GOAL}",
             detail=f"tracked order {d_tor.order}",
         ),
         check_true(
             "conformal.graded_qprime",
-            d_q.is_zero() and d_q.order >= goal,
+            d_q.is_zero() and d_q.order >= GRADED_GOAL,
             residual_repr(d_q),
             "derived",
-            f"graded Q' dual path agrees through weight {goal}",
+            f"graded Q' dual path agrees through weight {GRADED_GOAL}",
             detail=f"tracked order {d_q.order}",
         ),
     ]

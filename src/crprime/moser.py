@@ -45,9 +45,10 @@ _PATTERN_FLOOR = 15
 
 
 def u_poly(coeffs) -> Poly:
+    """The polynomial with GaussRational coefficients coeffs in u, constant term first."""
     p = P_ZERO
     for k, c in enumerate(coeffs):
-        p = p + Poly.monomial(GaussRational(c) if not isinstance(c, GaussRational) else c, 0, 0, k)
+        p = p + Poly.monomial(c, 0, 0, k)
     return p
 
 

@@ -249,11 +249,6 @@ class ChartIntegrand:
     singular_exponent: Optional[int] = None
 
 
-def _frac(c):
-    # centers come in as ints, Fractions, or (num, den) pairs
-    return Fraction(*c) if isinstance(c, tuple) else Fraction(c)
-
-
 def _taylor_shift(polys, zc, uc):
     """Each p(z, zb, u, pi) as the exact polynomial p(w + zc, wb + zbc, v + uc, pi).
 
@@ -359,14 +354,16 @@ def compile_integrand(e, label="integrand", singular_exponent=None,
     if not isinstance(e, RatExpr):
         raise ValueError(f"cannot compile {type(e).__name__} to a chart integrand")
 
-    if any(f.eval(EXACT_ORIGIN) == G(0) for f in e.den):
+    # pi is transcendental, so a factor vanishes at the origin exactly when
+    # it has no weight-0 term
+    if any(f.min_wdeg() > 0 for f in e.den):
         if singular_exponent is None:
             raise ValueError(f"{label}: undeclared singularity at the origin")
         if singular_exponent >= 4:
             raise ValueError(f"{label}: declared singularity rho^-{singular_exponent} "
                              "is not integrable against the shell measure")
 
-    cx, cy, cu = (_frac(c) for c in center)
+    cx, cy, cu = (Fraction(c) for c in center)
     na, nb, *den = _taylor_shift((e.na, e.nb, *e.den), G(cx, cy), G(cu))
     if any(p != p.conj() for p in (na, nb, *den)):
         raise ValueError(f"{label}: a polynomial is not real, so its chart value is complex")
@@ -659,7 +656,7 @@ def bump_profile(k: int, center=(0, 0, 0)) -> Poly:
     """
     if k < 1:
         raise ValueError("profile exponent must be at least 1")
-    xc, yc, uc = (G(_frac(c)) for c in center)
+    xc, yc, uc = (G(Fraction(c)) for c in center)
     zc = Poly.const(xc + yc * GR_I)
     zbc = Poly.const(xc - yc * GR_I)
     m = (Z - zc) * (ZB - zbc)
@@ -692,7 +689,7 @@ def delta_normalization(profile=4, center=(0, 0, 0),
     e = fm.green * cr_laplacian(struct, RatExpr(bump)) * dens
     ci = compile_integrand(e, label=f"delta_bump_{profile}", singular_exponent=2,
                            center=center)
-    fcenter = tuple(float(_frac(c)) for c in center)
+    fcenter = tuple(float(c) for c in center)
     return integrate_ball(ci, config, center=fcenter)
 
 
@@ -723,7 +720,7 @@ def delta_reports(config: QuadratureConfig = None) -> list:
                "chart form (half of it) gives half the constant",
     ))
 
-    off = delta_normalization(profile=5, center=((3, 2), 0, 0), config=config)
+    off = delta_normalization(profile=5, center=(Fraction(3, 2), 0, 0), config=config)
     out.append(check_true(
         "sphere.delta.off_center",
         abs(off) <= 1e-3,

@@ -11,8 +11,10 @@ component) and scalar curvature R, by reading coefficients out of
 
 The frame (T, Z1, Z1b) dual to (theta, theta1, theta1b) comes from
 forms.AdaptedCoframe: T and Z1 are cross products of the coframe's
-components, and Z1b = conj Z1 because theta is real.  The structure keeps
-that frame once and reads theta, theta1, theta1b, T, Z1 and Z1b through it.
+components over its one determinant, and Z1b = conj Z1 because theta is
+real.  The structure keeps that frame once and reads theta, theta1, theta1b,
+T, Z1 and Z1b through it; every 2-form, d omega for R included, is read off
+by the frame's expansion against the coframe.
 
 All index plumbing lives in covariant_derivative / _cov_step: a lower 1 index
 picks up -omega(X), a lower 1b picks up -conj(omega)(X), upper indices the
@@ -99,7 +101,7 @@ def solve_structure(theta, theta1_hint=None):
     omega = w0 * theta + w1 * theta1 + w2 * frame.theta1b
 
     dom = exterior_d(omega)
-    R = ginv * evaluate(dom, frame.Z1, frame.Z1b)
+    R = ginv * frame.expand_in_coframe(dom)["theta1^theta1b"]
 
     om1 = evaluate(omega, frame.Z1)
     om1b = evaluate(omega, frame.Z1b)
@@ -132,7 +134,7 @@ def verify_structure(struct) -> list:
     res3 = dg - s.g * (s.omega + s.omega.conj())
 
     dom = exterior_d(s.omega)
-    res4 = evaluate(dom, s.Z1, s.Z1b) - s.R * s.g
+    res4 = s.frame.expand_in_coframe(dom)["theta1^theta1b"] - s.R * s.g
 
     out = []
     for name, form in (("contact", res1), ("torsion_eq", res2), ("metric_compat", res3)):

@@ -67,6 +67,13 @@ def duality_residuals(frame):
     return out
 
 
+def pair(w, X, Y):
+    """w(X, Y) = w . (X x Y) of a 2-form from its components, the layout forms.py defines."""
+    x, y = (X.vz, X.vzb, X.vu), (Y.vz, Y.vzb, Y.vu)
+    cross = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+    return sum((c * v for c, v in zip(w.comps, cross)), GR_ZERO)
+
+
 def random_data(seed, degree=2) -> MoserData:
     """Normal-form data with random u-polynomial coefficients of the given degree."""
     rng = Random(seed)

@@ -146,7 +146,7 @@ def test_07_conformal_qprime_law_battery():
     assert len(cases) >= 5
     assert all(r.status == "pass" for r in battery), [
         r.check_id for r in battery if r.status != "pass"]
-    graded = {r.check_id: r for r in graded_conformal_check(order=16, goal=8)}
+    graded = {r.check_id: r for r in graded_conformal_check(order=16)}
     assert graded["conformal.graded_qprime"].status == "pass"
     assert graded["conformal.graded_torsion"].status == "pass"
 

@@ -5,6 +5,8 @@ import pytest
 from crprime.expr import RatExpr
 from crprime.gauss import G
 from crprime.heisenberg import (
+    GRADED_FLOOR,
+    GRADED_GOAL,
     LOG_ONE_PLUS_ZZB,
     conformal_battery,
     flat_model,
@@ -45,8 +47,13 @@ def test_equality_case_is_flat():
 
 
 def test_graded_dual_path_order():
-    reps = graded_conformal_check(order=12, goal=6)
+    # GRADED_FLOOR is the least working order at which both paths reach GRADED_GOAL
+    reps = graded_conformal_check(order=GRADED_FLOOR)
     assert all(r.status == "pass" for r in reps)
+    below = {r.check_id: r for r in graded_conformal_check(order=GRADED_FLOOR - 1)}
+    assert below["conformal.graded_torsion"].status == "pass"
+    assert below["conformal.graded_qprime"].status == "fail"
+    assert below["conformal.graded_qprime"].detail == f"tracked order {GRADED_GOAL - 1}"
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["exact", "graded"])

@@ -1,5 +1,7 @@
 """Exterior algebra sanity plus the flat contact structure as an oracle."""
 
+import pytest
+
 from crprime.expr import RatExpr
 from crprime.forms import (
     AdaptedCoframe,
@@ -19,7 +21,20 @@ from crprime.poly import U, Z, ZB, Poly
 from crprime.series import GradedSeries
 from crprime.sphere import sphere_structure_in_chart
 from crprime.structure import conformal_change
-from helpers import duality_residuals
+from helpers import duality_residuals, pair
+
+
+@pytest.fixture(scope="module")
+def solver_structures():
+    """The frames the solver builds: exact, graded, curved, Moser and a conformal hat."""
+    flat = flat_model().structure
+    return {
+        "flat": flat,
+        "graded": flat_series_structure(16),
+        "sphere": sphere_structure_in_chart(),
+        "moser": moser_structure(example_data().e).struct,
+        "hat": conformal_change(flat, dict(_battery_cases())["(1+zzb)^2"]),
+    }
 
 
 def S(p, order=12):
@@ -67,7 +82,7 @@ def test_forms_obey_their_defining_identities():
     X = VectorField(RatExpr(U), RatExpr(Z * ZB), RatExpr(Z + 1))
     Y = VectorField(RatExpr(ZB), RatExpr(2), RatExpr(U))
     # (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)
-    lhs = evaluate(wedge(a, b), X, Y)
+    lhs = pair(wedge(a, b), X, Y)
     assert (lhs - (evaluate(a, X) * evaluate(b, Y) - evaluate(a, Y) * evaluate(b, X))).is_zero()
     # (df)(X) = X(f)
     f = RatExpr(Z * Z * ZB + U * Z)
@@ -78,7 +93,7 @@ def test_forms_obey_their_defining_identities():
     # for constant fields P and Q, da(P, Q) = P(a(Q)) - Q(a(P))
     P = VectorField(RatExpr(1), RatExpr(i), RatExpr(3))
     Q = VectorField(RatExpr(2), RatExpr(0), RatExpr(-1))
-    da = evaluate(exterior_d(a), P, Q)
+    da = pair(exterior_d(a), P, Q)
     assert (da - (P.apply(evaluate(a, Q)) - Q.apply(evaluate(a, P)))).is_zero()
     assert not da.is_zero()
 
@@ -87,9 +102,13 @@ def test_contract_basics():
     X = VectorField(RatExpr(1), RatExpr(0), RatExpr(U))
     w = one_form(cz=RatExpr(Z), cu=RatExpr(2))
     assert evaluate(w, X) == RatExpr(Z) + RatExpr(2 * U)
+    assert contract(w, X).comps == (evaluate(w, X),)
+    # (dz ^ dzb)(X, d/dzb) = dz(X) dzb(d/dzb) - dz(d/dzb) dzb(X) = 1
     two = wedge(one_form(cz=RatExpr(1)), one_form(czb=RatExpr(1)))
-    cx = contract(two, X)
-    assert evaluate(cx, VectorField(RatExpr(0), RatExpr(1), RatExpr(0))) == RatExpr(1)
+    assert pair(two, X, VectorField(RatExpr(0), RatExpr(1), RatExpr(0))) == RatExpr(1)
+    for form in (form_from_scalar(RatExpr(Z)), two):
+        with pytest.raises(ValueError):
+            contract(form, X)
 
 
 def test_conj_swaps_dz_dzb():
@@ -109,7 +128,10 @@ def test_flat_reeb():
     assert T.vz.is_zero() and T.vzb.is_zero()
     assert T.vu == RatExpr(2)
     assert evaluate(th, T) == RatExpr(1)
-    assert contract(dth, T).is_zero()
+    # dtheta(T, .) = 0 on every coordinate field
+    one, zero = RatExpr(1), RatExpr(0)
+    for Y in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
+        assert pair(dth, T, VectorField(*Y)).is_zero()
 
 
 def test_flat_frame_duality():
@@ -123,19 +145,35 @@ def test_flat_frame_duality():
     f = RatExpr(Z * ZB - G(0, 1) * U)  # zeta
     assert frame.Z1b.apply(f).is_zero()
     assert frame.Z1.apply(f) == RatExpr(2 * ZB)
-    # the frames the solver builds: exact, graded, curved, Moser and a conformal hat
-    flat = flat_model().structure
-    graded = flat_series_structure(16)
-    hat = conformal_change(flat, dict(_battery_cases())["(1+zzb)^2"])
-    moser = moser_structure(example_data().e).struct
-    for st in (flat, graded, sphere_structure_in_chart(), moser, hat):
+
+def test_solver_frames_are_dual(solver_structures):
+    for st in solver_structures.values():
         for name, resid in duality_residuals(st.frame):
             assert resid.is_zero(), name
         Z1b, conj = st.frame.Z1b, st.frame.Z1.conj()
         assert (Z1b.vz, Z1b.vzb, Z1b.vu) == (conj.vz, conj.vzb, conj.vu)
     # T comes from the coframe, tracked as far as theta; the Reeb field of
     # theta alone loses one order
-    assert graded.T.vu.order == 16
+    assert solver_structures["graded"].T.vu.order == 16
+
+
+def test_two_form_expansion_is_the_frame_pairing(solver_structures):
+    # each coefficient of the dual-basis expansion equals w(X, Y) from components
+    slots = {"theta^theta1": ("T", "Z1"), "theta^theta1b": ("T", "Z1b"), "theta1^theta1b": ("Z1", "Z1b")}
+    for case, st in solver_structures.items():
+        frame = st.frame
+        forms = {
+            "dtheta": exterior_d(st.theta),
+            "dtheta1": exterior_d(st.theta1),
+            "domega": exterior_d(st.omega),
+            "omega^theta1b": wedge(st.omega, st.theta1b),
+        }
+        for name, w in forms.items():
+            coeffs = frame.expand_in_coframe(w)
+            assert set(coeffs) == set(slots)
+            for key, (x, y) in slots.items():
+                ref = pair(w, getattr(frame, x), getattr(frame, y))
+                assert (coeffs[key] - ref).is_zero(), (case, name, key)
 
 
 def test_volume_orientation():

@@ -17,7 +17,7 @@ from crprime.expr import LogExpr, RatExpr
 from crprime.forms import exterior_d, reeb_field, wedge
 from crprime.gauss import G
 from crprime.heisenberg import flat_model
-from crprime.poly import P_ONE, Poly
+from crprime.poly import P_ONE, PI, Z, ZB, Poly
 from crprime.report import has_failure
 from crprime.sphere import (
     CHART_DENOMINATOR,
@@ -36,7 +36,6 @@ from crprime.sphere import (
     qprime_volume_integrand,
     sphere_structure_in_chart,
     sphere_suite,
-    _frac,
     _gauss,
     _standard_flat_structure,
     _taylor_shift,
@@ -158,6 +157,13 @@ def test_compile_requires_singularity_declaration():
     with pytest.raises(ValueError, match="integrable"):
         compile_integrand(green, singular_exponent=4)
     assert compile_integrand(green, singular_exponent=2).singular_exponent == 2
+    # a factor vanishes at the origin exactly when it has no weight-0 term:
+    # 8 pi - 25 is not 0, whatever rational stands in for pi
+    one = RatExpr(P_ONE)
+    assert compile_integrand(one / RatExpr(8 * PI - 25 + Z * ZB)).singular_exponent is None
+    with pytest.raises(ValueError, match="undeclared"):
+        compile_integrand(one / RatExpr(PI * Z * ZB))
+    assert compile_integrand(one / RatExpr(PI * Z * ZB), singular_exponent=2).singular_exponent == 2
 
 
 def test_compiled_green_matches_exact_on_probe_points():
@@ -248,7 +254,7 @@ def reference_fn(e, x, y, u, pi_value=math.pi, s=None):
 
 def test_power_tables_leave_every_float_unchanged():
     fm = flat_model()
-    bump = bump_profile(5, center=((3, 2), 0, 0))
+    bump = bump_profile(5, center=(Fraction(3, 2), 0, 0))
     integrands = [
         compile_integrand(fm.green * cr_laplacian(fm.structure, RatExpr(bump)),
                           singular_exponent=2),
@@ -313,7 +319,7 @@ def test_compile_rejects_a_polynomial_that_is_not_real():
         compile_integrand(RatExpr(na=P_ONE, nb=Poly(), den={d: 1}))
     # the same test runs on the polynomials about a center
     with pytest.raises(ValueError, match="not real"):
-        compile_integrand(Poly.monomial(G(0, 1), ez=1), center=((3, 2), 0, 0))
+        compile_integrand(Poly.monomial(G(0, 1), ez=1), center=(Fraction(3, 2), 0, 0))
 
 
 def test_every_integrand_returns_float64_of_the_broadcast_shape():
@@ -330,11 +336,15 @@ def test_every_integrand_returns_float64_of_the_broadcast_shape():
 
 
 # centers as bump_profile takes them: real, complex, and complex with a u offset
-CENTERS = (((3, 2), 0, 0), ((3, 2), (-1, 4), 0), ((1, 2), (-3, 4), (5, 8)))
+CENTERS = (
+    (Fraction(3, 2), 0, 0),
+    (Fraction(3, 2), Fraction(-1, 4), 0),
+    (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8)),
+)
 
 
 def _exact_center(center):
-    xc, yc, uc = (_frac(c) for c in center)
+    xc, yc, uc = (Fraction(c) for c in center)
     return G(xc, yc), G(uc)
 
 
@@ -356,7 +366,7 @@ def test_taylor_shift_is_exact(center):
     at_z = {"z": w + zc, "zb": wb + zc.conj(), "u": v + uc, "pi": at_w["pi"]}
     for p, q in zip(polys, shifted):
         assert q.eval(at_w) == p.eval(at_z)
-    if center == ((3, 2), 0, 0):
+    if center == (Fraction(3, 2), 0, 0):
         # the off-center delta numerator and denominator about the ball center
         assert [len(q.terms) for q in shifted[:2]] == [80, 10]
         assert len(e.nb.terms) == 360
@@ -404,8 +414,8 @@ def test_centered_compile_keeps_the_origin_singularity_test():
     # the shifted denominator does not vanish at 0, the original one does
     green = flat_model().green
     with pytest.raises(ValueError, match="undeclared"):
-        compile_integrand(green, center=((3, 2), 0, 0))
-    ci = compile_integrand(green, singular_exponent=2, center=((3, 2), 0, 0))
+        compile_integrand(green, center=(Fraction(3, 2), 0, 0))
+    ci = compile_integrand(green, singular_exponent=2, center=(Fraction(3, 2), 0, 0))
     assert abs(complex(ci.fn(1.0, 0.0, 0.0)) - 1 / (2 * math.pi)) < 1e-15
 
 
@@ -700,7 +710,7 @@ def test_delta_profiles_agree():
 
 
 def test_delta_off_center_bump_integrates_to_zero():
-    v = delta_normalization(profile=5, center=((3, 2), 0, 0))
+    v = delta_normalization(profile=5, center=(Fraction(3, 2), 0, 0))
     assert abs(v) < 1e-3
     # compiled about the ball center, the integrand loses no digits near it
     assert abs(v) < 1e-7
