@@ -1,9 +1,9 @@
 """Command line driver: run verification suites, print series expansions.
 
-Reports are deterministic for a fixed config and seed: each suite runs once,
-in this process or in the one forked worker of `run all`, assembly is sorted
-by check id, and nothing wall-clock dependent enters the output (timings go
-to stderr, opt-in).  Exit codes:
+Reports are deterministic for a fixed config and seed: each job runs once,
+in this process or in the one forked worker of `run all` or `run conformal`,
+assembly is sorted by check id, and nothing wall-clock dependent enters the
+output (timings go to stderr, opt-in).  Exit codes:
 0 all checks pass, 1 at least one failure, 2 usage or config error.
 """
 
@@ -20,6 +20,7 @@ import time
 
 from .gauss import G
 from .heisenberg import (
+    BATTERY_CASES,
     GRADED_FLOOR,
     conformal_battery,
     flat_model,
@@ -53,10 +54,12 @@ CORRUPT_OWNER = {"green-power": "heisenberg", "moser-weight4": "moser"}
 
 _CONFIG_KEYS = ("order", "tol", "grid", "seed", "format")
 
-# The suites that `run all` hands to its one forked worker while this process
-# runs the others: moser + sphere take about as much CPU as heisenberg +
-# conformal, so the two processes finish at about the same time.
-_WORKER_SUITES = ("heisenberg", "conformal")
+# The jobs that a run hands to its one forked worker while this process runs
+# the others, so that the two finish at about the same time.  `run all` forks
+# heisenberg and conformal, about as much CPU as moser and sphere.  `run
+# conformal` forks its two costliest dual paths, about 0.075 s of CPU in a
+# fresh process, as much as its other four cases and the graded check.
+_WORKER_JOBS = ("heisenberg", "conformal", "conformal[(1+zzb)(1+u^2)]", "conformal[green^2]")
 
 
 class UsageError(Exception):
@@ -123,27 +126,37 @@ def _corrupted_moser_data() -> MoserData:
                      extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
 
 
-def _suite_job(name, args, golden=None):
-    """Check the settings of suite `name`; return a function that runs it.
+def _suite_jobs(name, args, golden=None) -> dict:
+    """Check the settings of suite `name`; return {job name: function that runs it}.
 
-    `run all` makes every job before it runs any, so a usage error exits 2
-    before any suite work and names the first suite, in order, it concerns.
+    A suite is one job named after it, but `run conformal` is one job for
+    each battery case, "conformal[<case>]", and "conformal[graded]", so that
+    its worker can take some.  Every job starts with a call to a suite
+    function.  `run all` makes every job before it runs any, so a usage error
+    exits 2 before any suite work and names the first suite, in order, it
+    concerns.
     """
     if name == "moser":
-        return lambda: moser_suite(
-            _corrupted_moser_data() if args.corrupt == "moser-weight4" else None, table=golden)
+        return {name: lambda: moser_suite(
+            _corrupted_moser_data() if args.corrupt == "moser-weight4" else None, table=golden)}
     if name == "heisenberg":
-        return lambda: heisenberg_suite(wrong_power=args.corrupt == "green-power")
+        return {name: lambda: heisenberg_suite(wrong_power=args.corrupt == "green-power")}
     if name == "conformal":
         order = 16 if args.order is None else args.order
         if order < GRADED_FLOOR:
             raise UsageError(f"conformal suite needs --order >= {GRADED_FLOOR}")
-        return lambda: conformal_battery() + graded_conformal_check(order=order)
+        if args.suite == "all":
+            # all of it runs in `run all`'s worker, so it stays one job
+            return {name: lambda: conformal_battery() + graded_conformal_check(order=order)}
+        jobs = {f"conformal[{case}]": lambda case=case: conformal_battery((case,))
+                for case in BATTERY_CASES}
+        jobs["conformal[graded]"] = lambda: graded_conformal_check(order=order)
+        return jobs
     if name == "sphere":
         # --tol alone leaves the delta ball on its own default grid
         config = _quad_config(args)
         delta_config = config if args.grid is not None else None
-        return lambda: sphere_suite(config, seed=args.seed, delta_config=delta_config)
+        return {name: lambda: sphere_suite(config, seed=args.seed, delta_config=delta_config)}
     raise UsageError(f"unknown suite {name!r}")
 
 
@@ -192,16 +205,16 @@ def _fork_worker(jobs):
 
 
 def _run_jobs(jobs) -> dict:
-    """_timed(jobs), with the _WORKER_SUITES jobs in one forked worker.
+    """_timed(jobs), with the _WORKER_JOBS jobs in one forked worker.
 
-    The worker is forked only when there is more than one job and a second
-    CPU to run it on.  This process always runs its own jobs before it
-    waits, and it reaps the worker on every path.
+    The worker is forked only when this process keeps some jobs and there is
+    a second CPU to run it on.  This process always runs its own jobs before
+    it waits, and it reaps the worker on every path.
     """
     forked = {}
-    if len(jobs) > 1 and hasattr(os, "fork") and _cpus_available() > 1:
-        forked = {name: job for name, job in jobs.items() if name in _WORKER_SUITES}
-    if not forked:
+    if hasattr(os, "fork") and _cpus_available() > 1:
+        forked = {name: job for name, job in jobs.items() if name in _WORKER_JOBS}
+    if not forked or len(forked) == len(jobs):
         return _timed(jobs)
     flat_model()  # built once, before the fork, for both processes
     pid, pipe = _fork_worker(forked)
@@ -238,14 +251,15 @@ def run_command(args) -> int:
 
     names = ("moser", "heisenberg", "conformal", "sphere") if args.suite == "all" else (args.suite,)
     setup_cpu = time.process_time()
-    jobs = {name: _suite_job(name, args, golden=golden) for name in names}
-    results = _run_jobs(jobs)
+    suites = {name: _suite_jobs(name, args, golden=golden) for name in names}
+    results = _run_jobs({job: fn for jobs in suites.values() for job, fn in jobs.items()})
     if args.timings:
         print(f"setup: cpu {setup_cpu:.2f}s", file=sys.stderr)
-        for name in names:
-            wall, cpu = results[name][1]
+        for name, jobs in suites.items():
+            # a suite's times add up over its jobs, in whichever process each ran
+            wall, cpu = (sum(results[job][1][k] for job in jobs) for k in (0, 1))
             print(f"{name}: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
-    reports = [r for name in names for r in results[name][0]]
+    reports = [r for jobs in suites.values() for job in jobs for r in results[job][0]]
 
     meta = {"suite": args.suite, "seed": args.seed}
     if args.grid is not None:

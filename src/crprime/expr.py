@@ -60,7 +60,13 @@ def _normalize_den(den):
 
 
 class RatExpr(Field):
-    __slots__ = ("na", "nb", "den")
+    """(na + nb s) / prod(den), the factors kept apart and free of constants.
+
+    `reduced` records that no factor of den divides both na and nb: it holds
+    for an empty den and for whatever _reduce returns.
+    """
+
+    __slots__ = ("na", "nb", "den", "reduced")
     _LIFTS = (int, GaussRational, Poly)
 
     def __init__(self, na=P_ZERO, nb=P_ZERO, den=None):
@@ -74,11 +80,15 @@ class RatExpr(Field):
         object.__setattr__(self, "na", na)
         object.__setattr__(self, "nb", nb)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "reduced", not den)
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
         return self.na.is_zero() and self.nb.is_zero()
+
+    def is_const(self):
+        return not self.den and self.nb.is_zero() and self.na.is_const()
 
     def as_poly(self):
         if self.nb.is_zero() and not self.den:
@@ -87,6 +97,8 @@ class RatExpr(Field):
 
     def _reduce(self):
         """Cancel denominator factors dividing both numerator components."""
+        if self.reduced:
+            return self
         na, nb, den = self.na, self.nb, dict(self.den)
         changed = False
         for f in list(den):
@@ -105,9 +117,37 @@ class RatExpr(Field):
                 changed = True
             if den[f] == 0:
                 del den[f]
-        if not changed:
-            return self
-        return RatExpr(na, nb, den)
+        out = RatExpr(na, nb, den) if changed else self
+        object.__setattr__(out, "reduced", True)
+        return out
+
+    def _over_den(self, na, nb):
+        """RatExpr(na, nb, self.den), reduced when self is.
+
+        Callers pass self's numerators times a nonzero constant, or plus a
+        multiple of the denominator in na, so a factor divides both of them
+        exactly when it divides both of self's, and a reduced self needs no
+        trial division.  The rebuild stays: it sets the factor order.
+        """
+        out = RatExpr(na, nb, self.den)
+        object.__setattr__(out, "reduced", self.reduced)
+        return out
+
+    def _plus_const(self, c):
+        """self + c for a constant Poly c; c = 0 builds no denominator product."""
+        na = self.na
+        if not c.is_zero():
+            dpoly = P_ONE
+            for f, e in self.den.items():
+                dpoly = dpoly * f**e
+            na = na + c * dpoly
+        return self._over_den(na, self.nb)._reduce()
+
+    def _times_const(self, c):
+        """self * c for a constant Poly c."""
+        if c.is_zero():
+            return RX_ZERO
+        return self._over_den(self.na * c, self.nb * c)._reduce()
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -115,6 +155,10 @@ class RatExpr(Field):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_const():
+            return self._plus_const(o.na)
+        if self.is_const():
+            return o._plus_const(self.na)
         den = dict(self.den)
         for f, e in o.den.items():
             den[f] = max(den.get(f, 0), e)
@@ -135,12 +179,16 @@ class RatExpr(Field):
     __radd__ = __add__
 
     def __neg__(self):
-        return RatExpr(-self.na, -self.nb, self.den)
+        return self._over_den(-self.na, -self.nb)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_const():
+            return self._times_const(o.na)
+        if self.is_const():
+            return o._times_const(self.na)
         den = dict(self.den)
         for f, e in o.den.items():
             den[f] = den.get(f, 0) + e
@@ -166,9 +214,10 @@ class RatExpr(Field):
         return RatExpr(dpoly * a, -(dpoly * b), {norm: 1})._reduce()
 
     def conj(self):
-        return RatExpr(
-            self.na.conj(), self.nb.conj(), {f.conj(): e for f, e in self.den.items()}
-        )
+        # conjugation is a ring automorphism: it keeps self reduced or not
+        out = RatExpr(self.na.conj(), self.nb.conj(), {f.conj(): e for f, e in self.den.items()})
+        object.__setattr__(out, "reduced", self.reduced)
+        return out
 
     def diff(self, var):
         out = RatExpr(self.na.diff(var), self.nb.diff(var), self.den)

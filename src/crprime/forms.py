@@ -221,5 +221,9 @@ class AdaptedCoframe(Frozen):
         return {
             "theta^theta1": on(self.theta1b),
             "theta^theta1b": _neg(on(self.theta1)),
-            "theta1^theta1b": on(self.theta),
+            "theta1^theta1b": self.pair_z1_z1b(form),
         }
+
+    def pair_z1_z1b(self, form: DifferentialForm):
+        """The theta1^theta1b coefficient of a 2-form w: w(Z1, Z1b) = (w . theta)/det."""
+        return _prod(self.inv_det, _dot(form.comps, self.theta.comps))

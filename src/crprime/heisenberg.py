@@ -412,16 +412,15 @@ LOG_ONE_PLUS_USQ = log_atom("log_one_plus_usq", RatExpr(P_ONE + U * U))
 LOG_TWO_PLUS_RE_Z = log_atom("log_two_plus_re_z", RatExpr(2 * P_ONE + Z + ZB))
 
 
+# the battery's cases: theta_hat = e^Upsilon theta for Upsilon the log of each
+BATTERY_CASES = ("1+zzb", "1+u^2", "2+z+zb", "(1+zzb)^2", "(1+zzb)(1+u^2)", "green^2")
+
+
 def _battery_cases():
-    fm = flat_model()
-    return [
-        ("1+zzb", LOG_ONE_PLUS_ZZB),
-        ("1+u^2", LOG_ONE_PLUS_USQ),
-        ("2+z+zb", LOG_TWO_PLUS_RE_Z),
-        ("(1+zzb)^2", 2 * LOG_ONE_PLUS_ZZB),
-        ("(1+zzb)(1+u^2)", LOG_ONE_PLUS_ZZB + LOG_ONE_PLUS_USQ),
-        ("green^2", 2 * fm.log_green),
-    ]
+    """(name, Upsilon) for each of BATTERY_CASES."""
+    zzb, usq = LOG_ONE_PLUS_ZZB, LOG_ONE_PLUS_USQ
+    factors = (zzb, usq, LOG_TWO_PLUS_RE_Z, 2 * zzb, zzb + usq, 2 * flat_model().log_green)
+    return list(zip(BATTERY_CASES, factors))
 
 
 def dual_path(st, ups):
@@ -433,14 +432,17 @@ def dual_path(st, ups):
     return d_tor, d_q
 
 
-def conformal_battery() -> list:
-    """Dual-path conformal checks on the flat model, in exact mode.
+def conformal_battery(cases=BATTERY_CASES) -> list:
+    """Dual-path conformal checks on the flat model, in exact mode, for the named cases.
 
-    The graded-mode counterpart is graded_conformal_check; the CLI runs both.
+    The cases are independent, so a caller may run them apart.  The
+    graded-mode counterpart is graded_conformal_check; the CLI runs both.
     """
     st = flat_model().structure
     out = []
     for name, ups in _battery_cases():
+        if name not in cases:
+            continue
         d_tor, d_q = dual_path(st, ups)
         out.append(
             check_zero(

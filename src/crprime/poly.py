@@ -68,6 +68,11 @@ def _make(terms, den):
     return p
 
 
+def _reaches(e, f):
+    """Is the monomial e a multiple of the monomial f?"""
+    return e[0] >= f[0] and e[1] >= f[1] and e[2] >= f[2] and e[3] >= f[3]
+
+
 def _reduced(terms, den):
     """The Poly terms/den, after dividing out gcd(den, every numerator)."""
     if den != 1:
@@ -316,12 +321,19 @@ class Poly(Exact):
         Long division of the numerators: the remainder is kept as Gaussian
         integers over a running denominator d, multiplied by the part of
         |lead|^2 that a step's quotient coefficient does not cancel.
+
+        Lex order is a monomial order, so an exact quotient q has
+        lead(self) = lead(q) + lead(divisor) and trail(self) = trail(q) +
+        trail(divisor); when either difference has a negative exponent the
+        answer is None before any remainder is built.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return P_ZERO
         de = max(divisor.terms)
+        if not _reaches(max(self.terms), de) or not _reaches(min(self.terms), min(divisor.terms)):
+            return None
         br, bi = divisor.terms[de]
         norm = br * br + bi * bi
         rem = dict(self.terms)
@@ -329,9 +341,9 @@ class Poly(Exact):
         steps = []  # (exps, numerator, denominator of the quotient coefficient)
         while rem:
             re_ = max(rem)
-            ne = tuple(re_[k] - de[k] for k in range(4))
-            if any(x < 0 for x in ne):
+            if not _reaches(re_, de):
                 return None
+            ne = (re_[0] - de[0], re_[1] - de[1], re_[2] - de[2], re_[3] - de[3])
             # rem / d has leading coefficient r / d; divided by b it is r conj(b) / (norm d)
             r, i = rem[re_]
             qr, qi = r * br + i * bi, i * br - r * bi

@@ -19,6 +19,19 @@ from .poly import P_ONE, P_ZERO, Poly
 INF = math.inf
 
 
+def _series(poly, order):
+    """GradedSeries(poly, order) for a poly with no term of weight >= order.
+
+    Products, derivatives and the series functions build their polynomial
+    below the order already, so they skip the truncation and the weight
+    scan it starts.
+    """
+    out = object.__new__(GradedSeries)
+    object.__setattr__(out, "poly", poly)
+    object.__setattr__(out, "order", order)
+    return out
+
+
 class GradedSeries(Exact):
     __slots__ = ("poly", "order")
     _LIFTS = (int, GaussRational, Poly)
@@ -78,7 +91,7 @@ class GradedSeries(Exact):
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries(-self.poly, self.order)
+        return _series(-self.poly, self.order)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -90,13 +103,12 @@ class GradedSeries(Exact):
             o.order + self.valuation(),
             self.order + o.order,
         )
-        poly = self.poly.mul(o.poly, None if order == INF else order)
-        return GradedSeries(poly, order)
+        return _series(self.poly.mul(o.poly, None if order == INF else order), order)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return GradedSeries(self.poly.conj(), self.order)
+        return _series(self.poly.conj(), self.order)
 
     def diff(self, var):
         drop = 2 if var == "u" else 1
@@ -104,7 +116,8 @@ class GradedSeries(Exact):
             raise ValueError(
                 f"derivative in {var} leaves no information (order {self.order})"
             )
-        return GradedSeries(self.poly.diff(var), self.order - drop)
+        # a term of weight w loses exactly `drop`, as the order does
+        return _series(self.poly.diff(var), self.order - drop)
 
     def truncated(self, order):
         return GradedSeries(self.poly, min(self.order, order))
@@ -134,7 +147,7 @@ class GradedSeries(Exact):
         while m < n:
             m = min(2 * m, n)
             y = y + y.mul(P_ONE - a.mul(y, m), m)
-        return GradedSeries(y, n)
+        return _series(y, n)
 
     def exp(self):
         """e^x through weight < self.order, by the Euler-operator recurrence.
@@ -155,7 +168,7 @@ class GradedSeries(Exact):
                 if not kx[k].is_zero():
                     acc = acc + kx[k].mul(y[w - k])
             y.append(acc * GaussRational(Fraction(1, w)))
-        return GradedSeries(sum(y, P_ZERO), n)
+        return _series(sum(y, P_ZERO), n)
 
     def __repr__(self):
         tail = "" if self.order == INF else f" + O({self.order})"

@@ -101,7 +101,7 @@ def solve_structure(theta, theta1_hint=None):
     omega = w0 * theta + w1 * theta1 + w2 * frame.theta1b
 
     dom = exterior_d(omega)
-    R = ginv * frame.expand_in_coframe(dom)["theta1^theta1b"]
+    R = ginv * frame.pair_z1_z1b(dom)
 
     om1 = evaluate(omega, frame.Z1)
     om1b = evaluate(omega, frame.Z1b)
@@ -134,7 +134,7 @@ def verify_structure(struct) -> list:
     res3 = dg - s.g * (s.omega + s.omega.conj())
 
     dom = exterior_d(s.omega)
-    res4 = s.frame.expand_in_coframe(dom)["theta1^theta1b"] - s.R * s.g
+    res4 = s.frame.pair_z1_z1b(dom) - s.R * s.g
 
     out = []
     for name, form in (("contact", res1), ("torsion_eq", res2), ("metric_compat", res3)):

@@ -157,6 +157,34 @@ def test_run_all_is_the_sorted_union_of_the_single_suite_runs(capsys, monkeypatc
         0, forked_out, "")
 
 
+@needs_fork
+def test_run_conformal_splits_its_dual_paths_with_the_worker(capsys, monkeypatch, tmp_path, forked):
+    # a file, not a list, so that the calls in the forked worker are seen too
+    ran = tmp_path / "ran"
+    ran.write_text("")
+    battery = cli.conformal_battery
+
+    def logged(cases):
+        with ran.open("a") as f:
+            f.write(f"{os.getpid()} {' '.join(cases)}\n")
+        return battery(cases)
+
+    monkeypatch.setattr(cli, "conformal_battery", logged)
+    code, forked_out, err = run_cli(capsys, "run", "conformal", "--format", "json", "--timings")
+    assert code == 0
+    assert [line.split(":")[0] for line in err.splitlines()] == ["setup", "conformal"]
+    by_pid = {}
+    for line in ran.read_text().splitlines():
+        pid, case = line.split(" ", 1)
+        by_pid.setdefault(pid, []).append(case)
+    assert by_pid.pop(str(os.getpid())) == ["1+zzb", "1+u^2", "2+z+zb", "(1+zzb)^2"]
+    assert list(by_pid.values()) == [["(1+zzb)(1+u^2)", "green^2"]]
+
+    # one CPU: every job in this process, with the same bytes
+    monkeypatch.setattr(cli, "_cpus_available", lambda: 1)
+    assert run_cli(capsys, "run", "conformal", "--format", "json") == (0, forked_out, "")
+
+
 def test_run_all_order_12_exits_2_with_the_conformal_message(capsys, forked):
     code, out, err = run_cli(capsys, "run", "all", "--order", "12")
     assert (code, out) == (2, "")

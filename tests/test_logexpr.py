@@ -14,6 +14,7 @@ from crprime.expr import (
     LOG_ZETAB,
     RX_ONE,
     RX_S,
+    RX_ZERO,
     SIGMA,
     ZETA,
     ZETAB,
@@ -22,7 +23,7 @@ from crprime.expr import (
     euler,
 )
 from crprime.gauss import G
-from crprime.poly import U, Z, ZB
+from crprime.poly import P_ONE, U, Z, ZB, Poly
 from crprime.structure import im_scalar, re_scalar
 from helpers import log_eval, random_probe
 
@@ -54,6 +55,41 @@ def test_s_squared_reduces():
     assert inv_s * RX_S == RX_ONE
     # 1/s = s / (zeta zetab)
     assert inv_s == RX_S / RatExpr(SIGMA)
+
+
+def _layout(x):
+    """What repr and every later operation read: both numerators and the factor order."""
+    return x.na, x.nb, list(x.den.items())
+
+
+def test_constant_operands_give_the_general_result_without_trial_division(monkeypatch):
+    zeta = RatExpr(ZETA)
+    # the recorded q2_term.paneitz_log_green_sq: a rebuild reverses its two factors
+    psq = heisenberg.flat_q2_terms()[1].as_rat()
+    reduced = [psq, RX_ONE / (zeta * RatExpr(P_ONE + U * U)), RX_S / zeta, zeta]
+    # built by hand: zeta divides both numerators, so a sum or product cancels it
+    unreduced = RatExpr(ZETA * Z, ZETA * ZB, {ZETA: 1, P_ONE + U * U: 2})
+    consts = [0, 3, G(1, -2), RX_ZERO, RatExpr(G("1/2"))]
+    ops = [
+        lambda x, c: x + c, lambda x, c: c + x, lambda x, c: x - c, lambda x, c: c - x,
+        lambda x, c: x * c, lambda x, c: c * x,
+    ]
+
+    calls = []
+    divide = Poly.divide_exact
+    monkeypatch.setattr(Poly, "divide_exact", lambda a, b: calls.append(a) or divide(a, b))
+    fast = [[op(x, c) for op in ops for c in consts] for x in reduced]
+    assert calls == []
+    fast.append([op(unreduced, c) for op in ops for c in consts])
+    assert calls and ZETA not in fast[-1][0].den  # cancelled, as by the general path
+    assert all(r.reduced for row in fast for r in row)
+
+    # the general path: no operand counts as a constant
+    monkeypatch.setattr(RatExpr, "is_const", lambda self: False)
+    general = [[op(x, c) for op in ops for c in consts] for x in reduced + [unreduced]]
+    for row_fast, row_general in zip(fast, general):
+        assert [_layout(r) for r in row_fast] == [_layout(r) for r in row_general]
+        assert [repr(r) for r in row_fast] == [repr(r) for r in row_general]
 
 
 def test_s_derivative():

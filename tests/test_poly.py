@@ -98,6 +98,43 @@ def test_divide_exact():
     assert (Z * ZB + U).divide_exact(Z) is None
 
 
+def long_division(a, b):
+    """a / b by plain lex long division on Poly arithmetic, or None."""
+    lead = max(b.terms)
+    lc = dict(b.coeffs())[lead]
+    q, r = P_ZERO, a
+    while not r.is_zero():
+        top = max(r.terms)
+        e = [x - y for x, y in zip(top, lead)]
+        if min(e) < 0:
+            return None
+        t = Poly.monomial(dict(r.coeffs())[top] / lc, *e)
+        q, r = q + t, r - t * b
+    return q
+
+
+@SETTINGS
+@given(POLYS, POLYS, POLYS, st.booleans())
+def test_divide_exact_is_plain_long_division(q, b, r, exact):
+    # exact multiples half the time, so that both answers are exercised
+    a = q * b if exact else q * b + r
+    if b.is_zero():
+        return
+    want = long_division(a, b)
+    got = a.divide_exact(b)
+    assert got == want
+    if exact:
+        assert got == q
+
+
+def test_divide_exact_rejects_unreachable_end_terms():
+    # lead z^2 does not reach the lead z^3 of the divisor
+    assert (Z**2 + ZB).divide_exact(Z**3 + 1) is None
+    # the leads reach, but the trailing u cannot come from the trailing zb
+    assert (Z**2 * ZB + U).divide_exact(Z + ZB) is None
+    assert (Z * ZB + ZB**2).divide_exact(Z + ZB) == ZB
+
+
 def test_pow_and_hash():
     assert Z**0 == P_ONE
     assert (Z + ZB) ** 2 == Z**2 + 2 * Z * ZB + ZB**2
