@@ -31,17 +31,16 @@ ZETAB = Z * ZB + G(0, 1) * U
 _DS_NUM = {"z": Z * ZB**2, "zb": Z**2 * ZB, "u": U}  # ds = num * s / Sigma
 
 
-def _normalize_den(den):
-    """Fold constants out of factors; return (canonical dict, numerator scale).
+def _normalize_den(na, nb, den):
+    """Put a raw den in normal form: each factor monic and non-constant, the
+    constants folded into na and nb.  Returns (na, nb, den).
 
     Sigma itself splits as zeta * zetab over Q(i); storing the split form lets
     the trial-division reducer cancel against the factors dlog produces.
     """
     out = {}
     scale = GR_ONE
-    # Reversed on purpose: the residuals of heisenberg.log_not_harmonic and
-    # heisenberg.q2_term.* print the factors in this order.
-    for f, e in reversed(den.items()):
+    for f, e in den.items():
         if e == 0:
             continue
         if e < 0:
@@ -54,33 +53,74 @@ def _normalize_den(den):
         f, lc = f.monic()
         if lc is not GR_ONE:
             scale = scale * lc**-e
-        for g in (ZETAB, ZETA) if f == SIGMA else (f,):
+        for g in (ZETA, ZETAB) if f == SIGMA else (f,):
             out[g] = out.get(g, 0) + e
-    return out, scale
+    if scale is not GR_ONE:
+        na, nb = na * scale, nb * scale
+    return na, nb, out
+
+
+def _reduce(na, nb, den):
+    """na + nb s over a normal den, a dict of its own: cancel every factor
+    dividing both numerators by trial division, then build."""
+    if na.is_zero() and nb.is_zero():
+        return _build(na, nb, {})
+    for f in list(den):
+        while den[f] > 0:
+            qa = na.divide_exact(f)
+            if qa is None:
+                break
+            if nb.is_zero():
+                qb = P_ZERO
+            else:
+                qb = nb.divide_exact(f)
+                if qb is None:
+                    break
+            na, nb = qa, qb
+            den[f] -= 1
+        if den[f] == 0:
+            del den[f]
+    return _build(na, nb, den)
+
+
+def _build(na, nb, den):
+    """The RatExpr na + nb s over den, which is normal and reduced.
+
+    Every build lists den's factors in reverse: the residuals of
+    heisenberg.log_not_harmonic and heisenberg.q2_term.* print them in the
+    order this gives.
+    """
+    out = object.__new__(RatExpr)
+    object.__setattr__(out, "na", na)
+    object.__setattr__(out, "nb", nb)
+    object.__setattr__(out, "den", dict(reversed(den.items())))
+    return out
+
+
+def _product(powers):
+    """prod f**k over (f, k) pairs, skipping k = 0."""
+    out = P_ONE
+    for f, k in powers:
+        if k:
+            out = out * f**k
+    return out
 
 
 class RatExpr(Field):
-    """(na + nb s) / prod(den), the factors kept apart and free of constants.
+    """(na + nb s) / prod(den), the factors kept apart, monic and non-constant.
 
-    `reduced` records that no factor of den divides both na and nb: it holds
-    for an empty den and for whatever _reduce returns.
+    Every value is reduced: no factor of den divides both na and nb.  The
+    constructor normalizes a raw den and cancels by trial division; the
+    operators build through _build over a den that is already normal.
     """
 
-    __slots__ = ("na", "nb", "den", "reduced")
+    __slots__ = ("na", "nb", "den")
     _LIFTS = (int, GaussRational, Poly)
 
-    def __init__(self, na=P_ZERO, nb=P_ZERO, den=None):
+    def __new__(cls, na=P_ZERO, nb=P_ZERO, den=None):
         na = na if isinstance(na, Poly) else Poly.const(na)
         nb = nb if isinstance(nb, Poly) else Poly.const(nb)
-        den, scale = _normalize_den(den or {})
-        if scale is not GR_ONE:
-            na, nb = na * scale, nb * scale
-        if na.is_zero() and nb.is_zero():
-            den = {}
-        object.__setattr__(self, "na", na)
-        object.__setattr__(self, "nb", nb)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "reduced", not den)
+        return _reduce(*_normalize_den(na, nb, den or {}))
 
     # -- structure ----------------------------------------------------------
 
@@ -95,59 +135,21 @@ class RatExpr(Field):
             return self.na
         return None
 
-    def _reduce(self):
-        """Cancel denominator factors dividing both numerator components."""
-        if self.reduced:
-            return self
-        na, nb, den = self.na, self.nb, dict(self.den)
-        changed = False
-        for f in list(den):
-            while den[f] > 0:
-                qa = na.divide_exact(f)
-                if qa is None:
-                    break
-                if nb.is_zero():
-                    qb = P_ZERO
-                else:
-                    qb = nb.divide_exact(f)
-                    if qb is None:
-                        break
-                na, nb = qa, qb
-                den[f] -= 1
-                changed = True
-            if den[f] == 0:
-                del den[f]
-        out = RatExpr(na, nb, den) if changed else self
-        object.__setattr__(out, "reduced", True)
-        return out
-
-    def _over_den(self, na, nb):
-        """RatExpr(na, nb, self.den), reduced when self is.
-
-        Callers pass self's numerators times a nonzero constant, or plus a
-        multiple of the denominator in na, so a factor divides both of them
-        exactly when it divides both of self's, and a reduced self needs no
-        trial division.  The rebuild stays: it sets the factor order.
-        """
-        out = RatExpr(na, nb, self.den)
-        object.__setattr__(out, "reduced", self.reduced)
-        return out
+    # A factor divides na + c * prod(den) and nb, or c * na and c * nb for a
+    # constant c != 0, exactly when it divides na and nb: these stay reduced.
 
     def _plus_const(self, c):
         """self + c for a constant Poly c; c = 0 builds no denominator product."""
         na = self.na
         if not c.is_zero():
-            dpoly = P_ONE
-            for f, e in self.den.items():
-                dpoly = dpoly * f**e
-            na = na + c * dpoly
-        return self._over_den(na, self.nb)._reduce()
+            na = na + c * _product(self.den.items())
+        return _build(na, self.nb, self.den)
 
     def _times_const(self, c):
         """self * c for a constant Poly c."""
         if c.is_zero():
             return RX_ZERO
-        return self._over_den(self.na * c, self.nb * c)._reduce()
+        return _build(self.na * c, self.nb * c, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -162,24 +164,14 @@ class RatExpr(Field):
         den = dict(self.den)
         for f, e in o.den.items():
             den[f] = max(den.get(f, 0), e)
-        ls = P_ONE
-        for f, e in den.items():
-            k = e - self.den.get(f, 0)
-            if k:
-                ls = ls * f**k
-        rs = P_ONE
-        for f, e in den.items():
-            k = e - o.den.get(f, 0)
-            if k:
-                rs = rs * f**k
-        return RatExpr(
-            self.na * ls + o.na * rs, self.nb * ls + o.nb * rs, den
-        )._reduce()
+        ls = _product((f, e - self.den.get(f, 0)) for f, e in den.items())
+        rs = _product((f, e - o.den.get(f, 0)) for f, e in den.items())
+        return _reduce(self.na * ls + o.na * rs, self.nb * ls + o.nb * rs, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._over_den(-self.na, -self.nb)
+        return _build(-self.na, -self.nb, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -194,45 +186,44 @@ class RatExpr(Field):
             den[f] = den.get(f, 0) + e
         na = self.na * o.na + self.nb * o.nb * SIGMA
         nb = self.na * o.nb + self.nb * o.na
-        return RatExpr(na, nb, den)._reduce()
+        return _reduce(na, nb, den)
 
     __rmul__ = __mul__
 
     def invert(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        dpoly = P_ONE
-        for f, e in self.den.items():
-            dpoly = dpoly * f**e
+        dpoly = _product(self.den.items())
         a, b = self.na, self.nb
         if b.is_zero():
-            return RatExpr(dpoly, P_ZERO, {a: 1})._reduce()
+            return RatExpr(dpoly, P_ZERO, {a: 1})
         # 1/(a + b s) = (a - b s)/(a^2 - b^2 Sigma)
         norm = a * a - b * b * SIGMA
         if norm.is_zero():
             raise ZeroDivisionError("a + b*s collapses on the surface s^2 = Sigma")
-        return RatExpr(dpoly * a, -(dpoly * b), {norm: 1})._reduce()
+        return RatExpr(dpoly * a, -(dpoly * b), {norm: 1})
 
     def conj(self):
-        # conjugation is a ring automorphism: it keeps self reduced or not
-        out = RatExpr(self.na.conj(), self.nb.conj(), {f.conj(): e for f, e in self.den.items()})
-        object.__setattr__(out, "reduced", self.reduced)
-        return out
+        # conjugation keeps self reduced, but a conjugated monic factor need
+        # not be monic: z + i zb becomes zb - i z
+        return _build(*_normalize_den(
+            self.na.conj(), self.nb.conj(), {f.conj(): e for f, e in self.den.items()}))
 
     def diff(self, var):
-        out = RatExpr(self.na.diff(var), self.nb.diff(var), self.den)
+        out = _reduce(self.na.diff(var), self.nb.diff(var), dict(self.den))
         if not self.nb.is_zero():
-            # d s = _DS_NUM * s / Sigma
+            # d s = _DS_NUM * s / Sigma, and Sigma = zeta * zetab
             den = dict(self.den)
-            den[SIGMA] = den.get(SIGMA, 0) + 1
-            out = out + RatExpr(P_ZERO, self.nb * _DS_NUM[var], den)._reduce()
+            for g in (ZETA, ZETAB):
+                den[g] = den.get(g, 0) + 1
+            out = out + _reduce(P_ZERO, self.nb * _DS_NUM[var], den)
         for f, e in self.den.items():
             df = f.diff(var)
             if df.is_zero():
                 continue
             den = dict(self.den)
             den[f] = den[f] + 1
-            out = out - e * RatExpr(self.na * df, self.nb * df, den)._reduce()
+            out = out - e * _reduce(self.na * df, self.nb * df, den)
         return out
 
     def eval(self, point, s_val):

@@ -424,7 +424,7 @@ def probe_report(ci: ChartIntegrand, check_id: str, seed=0) -> VerificationRepor
     for _ in range(10):
         point, s_val = _dyadic_probe(rng)
         exact = ci.exact.eval(point, s_val)
-        ev = complex(float(exact.re), float(exact.im))
+        ev = complex(exact)
         cv = float(ci.fn(float(point["z"].re), float(point["z"].im),
                          float(point["u"].re), pi_value=float(PI_STAND_IN.re)))
         err = abs(cv - ev) / (abs(ev) or 1)

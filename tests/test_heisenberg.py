@@ -50,6 +50,17 @@ def test_suite_green():
     assert "heisenberg.hat_qprime" in ids
 
 
+def test_residuals_that_print_a_denominator():
+    """The only report residuals with a denominator; its factor order is part of the bytes."""
+    residuals = {r.check_id: r.residual for r in heisenberg_suite()}
+    zeta, zetab = "(-1*i*u + 1*z*zb)", "(1*i*u + 1*z*zb)"
+    assert residuals["heisenberg.log_not_harmonic"] == f"[(-8*z*zb) / {zetab}^1 * {zeta}^1]"
+    assert residuals["heisenberg.q2_term.p_prime_log_green"] == (
+        f"[(-16*u^2 + 16*z^2*zb^2) / {zetab}^2 * {zeta}^2]")
+    assert residuals["heisenberg.q2_term.paneitz_log_green_sq"] == (
+        f"[(16*u^2 + -16*z^2*zb^2) / {zeta}^2 * {zetab}^2]")
+
+
 def test_szego_closed_form():
     cand = szego_candidate()
     zeta = RatExpr(ZETA)

@@ -6,6 +6,8 @@ Z1 = d/dz + i*zb*d/du and its conjugate.
 
 import random
 
+import pytest
+
 from crprime import heisenberg, sphere
 from crprime.expr import (
     LOG_2PI,
@@ -23,7 +25,7 @@ from crprime.expr import (
     euler,
 )
 from crprime.gauss import G
-from crprime.poly import P_ONE, U, Z, ZB, Poly
+from crprime.poly import P_ONE, P_ZERO, U, Z, ZB, Poly
 from crprime.structure import im_scalar, re_scalar
 from helpers import log_eval, random_probe
 
@@ -66,9 +68,9 @@ def test_constant_operands_give_the_general_result_without_trial_division(monkey
     zeta = RatExpr(ZETA)
     # the recorded q2_term.paneitz_log_green_sq: a rebuild reverses its two factors
     psq = heisenberg.flat_q2_terms()[1].as_rat()
-    reduced = [psq, RX_ONE / (zeta * RatExpr(P_ONE + U * U)), RX_S / zeta, zeta]
-    # built by hand: zeta divides both numerators, so a sum or product cancels it
-    unreduced = RatExpr(ZETA * Z, ZETA * ZB, {ZETA: 1, P_ONE + U * U: 2})
+    values = [psq, RX_ONE / (zeta * RatExpr(P_ONE + U * U)), RX_S / zeta, zeta]
+    # zeta divides both numerators, so the constructor cancels it
+    assert ZETA not in RatExpr(ZETA * Z, ZETA * ZB, {ZETA: 1, P_ONE + U * U: 2}).den
     consts = [0, 3, G(1, -2), RX_ZERO, RatExpr(G("1/2"))]
     ops = [
         lambda x, c: x + c, lambda x, c: c + x, lambda x, c: x - c, lambda x, c: c - x,
@@ -78,18 +80,80 @@ def test_constant_operands_give_the_general_result_without_trial_division(monkey
     calls = []
     divide = Poly.divide_exact
     monkeypatch.setattr(Poly, "divide_exact", lambda a, b: calls.append(a) or divide(a, b))
-    fast = [[op(x, c) for op in ops for c in consts] for x in reduced]
+    fast = [[op(x, c) for op in ops for c in consts] for x in values]
     assert calls == []
-    fast.append([op(unreduced, c) for op in ops for c in consts])
-    assert calls and ZETA not in fast[-1][0].den  # cancelled, as by the general path
-    assert all(r.reduced for row in fast for r in row)
 
     # the general path: no operand counts as a constant
     monkeypatch.setattr(RatExpr, "is_const", lambda self: False)
-    general = [[op(x, c) for op in ops for c in consts] for x in reduced + [unreduced]]
+    general = [[op(x, c) for op in ops for c in consts] for x in values]
     for row_fast, row_general in zip(fast, general):
         assert [_layout(r) for r in row_fast] == [_layout(r) for r in row_general]
         assert [repr(r) for r in row_fast] == [repr(r) for r in row_general]
+
+
+# monic factors; z + i zb conjugates to zb - i z, which is not monic
+_FACTORS = [ZETA, ZETAB, P_ONE + U * U, P_ONE + Z * ZB, 2 * P_ONE + Z + ZB, Z + G(0, 1) * ZB]
+
+
+def _small_poly(rng):
+    return sum(G(rng.randint(-2, 2), rng.randint(-1, 1)) * Z ** rng.randint(0, 2)
+               * ZB ** rng.randint(0, 1) * U ** rng.randint(0, 1) for _ in range(2))
+
+
+def _assert_reduced(x):
+    for f, e in x.den.items():
+        assert e > 0 and not f.is_const() and f != SIGMA and f.monic()[0] == f, x
+        assert x.na.divide_exact(f) is None or x.nb.divide_exact(f) is None, (f, x)
+
+
+def test_every_value_is_reduced():
+    """Constructed with a planted common factor, or computed by any operation,
+    a RatExpr has no denominator factor dividing both numerators."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        pool = [RX_ZERO, RX_ONE, RX_S, RatExpr(3)]
+        for _ in range(8):
+            f = rng.choice(_FACTORS)
+            if rng.random() < 0.3:
+                # f divides d(na) for a var f does not depend on: diff must cancel it
+                x = RatExpr(f * _small_poly(rng) + rng.randint(1, 3), P_ZERO, {f: 1})
+            else:
+                den = {g: rng.randint(1, 2) for g in rng.sample(_FACTORS, 2)}
+                den[f] = den.get(f, 0) + 1
+                if rng.random() < 0.5:
+                    den[SIGMA] = 1  # raw: split into zeta * zetab
+                nb = f * _small_poly(rng) if rng.random() < 0.7 else P_ZERO
+                x = RatExpr(f * _small_poly(rng), nb, den)
+            for y in (x, x.diff("z"), x.diff("zb"), x.diff("u")):
+                _assert_reduced(y)
+            pool.append(x)
+        for _ in range(40):
+            x, y = rng.choice(pool), rng.choice(pool)
+            op = rng.choice(["+", "-", "*", "/", "conj", "diff", "invert", "x+y-y", "x*y/y"])
+            if op in ("/", "x*y/y", "invert") and (x if op == "invert" else y).is_zero():
+                continue
+            out = {
+                "+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y, "/": lambda: x / y,
+                "conj": x.conj, "diff": lambda: x.diff(rng.choice(["z", "zb", "u"])),
+                "invert": x.invert,
+                # y's factors must cancel again
+                "x+y-y": lambda: x + y - y, "x*y/y": lambda: x * y / y,
+            }[op]()
+            _assert_reduced(out)
+            if sum(out.den.values()) <= 6 and len(out.na.terms) + len(out.nb.terms) <= 12:
+                pool.append(out)
+
+
+def test_constructor_checks_a_raw_denominator():
+    with pytest.raises(ValueError):
+        RatExpr(Z, P_ZERO, {ZETA: -1})
+    with pytest.raises(ZeroDivisionError):
+        RatExpr(Z, P_ZERO, {P_ZERO: 1})
+    # constants, and the leading coefficient of a factor, go into the numerators
+    x = RatExpr(Z, U, {2 * P_ONE: 1, G(0, 3) * ZETA: 1, P_ONE + U * U: 0})
+    assert _layout(x) == (Z * G(0, "-1/6"), U * G(0, "-1/6"), [(ZETA, 1)])
+    # Sigma is stored split, zetab first
+    assert list(RatExpr(Z, P_ZERO, {SIGMA: 1}).den.items()) == [(ZETAB, 1), (ZETA, 1)]
 
 
 def test_s_derivative():
