@@ -1,10 +1,10 @@
 """Command line driver: run verification suites, print series expansions.
 
-Reports are deterministic for a fixed config and seed: each job runs once,
-in this process or in the one forked worker of `run all` or `run conformal`,
-assembly is sorted by check id, and nothing wall-clock dependent enters the
-output (timings go to stderr, opt-in).  Exit codes:
-0 all checks pass, 1 at least one failure, 2 usage or config error.
+Reports are deterministic for a fixed config and seed: each suite runs once,
+in turn, in this process, assembly is sorted by check id, and nothing
+wall-clock dependent enters the output (timings go to stderr, opt-in).
+Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or config
+error.
 """
 
 from __future__ import annotations
@@ -12,18 +12,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
-import pickle
-import signal
 import sys
 import time
 
 from .gauss import G
 from .heisenberg import (
-    BATTERY_CASES,
     GRADED_FLOOR,
     conformal_battery,
-    flat_model,
     graded_conformal_check,
     heisenberg_suite,
     szego_candidate,
@@ -53,14 +48,6 @@ QUANTITY_KEYS = {
 CORRUPT_OWNER = {"green-power": "heisenberg", "moser-weight4": "moser"}
 
 _CONFIG_KEYS = ("order", "tol", "grid", "seed", "format")
-
-# The jobs that a run hands to its one forked worker while this process runs
-# the others, so that the two finish at about the same time.  `run all` forks
-# heisenberg and conformal, about as much CPU as moser and sphere.  `run
-# conformal` forks its two costliest dual paths, about 0.075 s of CPU in a
-# fresh process, as much as its other four cases and the graded check.
-_WORKER_JOBS = ("heisenberg", "conformal", "conformal[(1+zzb)(1+u^2)]", "conformal[green^2]")
-
 
 class UsageError(Exception):
     pass
@@ -126,114 +113,41 @@ def _corrupted_moser_data() -> MoserData:
                      extra=(((2, 2, 0), G(1)),), allow_low_weight=True)
 
 
-def _suite_jobs(name, args, golden=None) -> dict:
-    """Check the settings of suite `name`; return {job name: function that runs it}.
+def _suite_job(name, args, golden=None):
+    """Check the settings of suite `name`; return the function that runs it.
 
-    A suite is one job named after it, but `run conformal` is one job for
-    each battery case, "conformal[<case>]", and "conformal[graded]", so that
-    its worker can take some.  Every job starts with a call to a suite
-    function.  `run all` makes every job before it runs any, so a usage error
-    exits 2 before any suite work and names the first suite, in order, it
-    concerns.
+    Each function starts with a call to a suite function, looked up in this
+    module's globals when it runs, so a wrapper set on the module sees it.
+    `run all` makes every suite's function before it runs any, so a usage
+    error exits 2 before any suite work and names the first suite, in order,
+    it concerns.
     """
     if name == "moser":
-        return {name: lambda: moser_suite(
-            _corrupted_moser_data() if args.corrupt == "moser-weight4" else None, table=golden)}
+        return lambda: moser_suite(
+            _corrupted_moser_data() if args.corrupt == "moser-weight4" else None, table=golden)
     if name == "heisenberg":
-        return {name: lambda: heisenberg_suite(wrong_power=args.corrupt == "green-power")}
+        return lambda: heisenberg_suite(wrong_power=args.corrupt == "green-power")
     if name == "conformal":
         order = 16 if args.order is None else args.order
         if order < GRADED_FLOOR:
             raise UsageError(f"conformal suite needs --order >= {GRADED_FLOOR}")
-        if args.suite == "all":
-            # all of it runs in `run all`'s worker, so it stays one job
-            return {name: lambda: conformal_battery() + graded_conformal_check(order=order)}
-        jobs = {f"conformal[{case}]": lambda case=case: conformal_battery((case,))
-                for case in BATTERY_CASES}
-        jobs["conformal[graded]"] = lambda: graded_conformal_check(order=order)
-        return jobs
+        return lambda: conformal_battery() + graded_conformal_check(order=order)
     if name == "sphere":
         # --tol alone leaves the delta ball on its own default grid
         config = _quad_config(args)
         delta_config = config if args.grid is not None else None
-        return {name: lambda: sphere_suite(config, seed=args.seed, delta_config=delta_config)}
+        return lambda: sphere_suite(config, seed=args.seed, delta_config=delta_config)
     raise UsageError(f"unknown suite {name!r}")
 
 
 def _timed(jobs) -> dict:
-    """{name: (reports, (wall s, cpu s))} for jobs run in this process."""
+    """{name: (reports, (wall s, cpu s))}, running the jobs in turn."""
     out = {}
     for name, job in jobs.items():
         wall, cpu = time.monotonic(), time.process_time()
         reports = job()
         out[name] = (reports, (time.monotonic() - wall, time.process_time() - cpu))
     return out
-
-
-def _cpus_available() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_worker(jobs):
-    """Fork a child that runs `jobs`; return its pid and its result pipe.
-
-    The child sends _timed(jobs), or the exception it raised, as one pickle
-    and ends with os._exit: it never returns into the caller's stack.  Fork,
-    not spawn: the child needs no second import of crprime, and crprime
-    starts no threads that a fork could leave broken.
-    """
-    rfd, wfd = os.pipe()
-    gc.freeze()  # the child's collector then leaves the shared pages alone
-    pid = os.fork()
-    if pid:
-        os.close(wfd)
-        return pid, os.fdopen(rfd, "rb")
-    code = 1
-    try:
-        os.close(rfd)
-        try:
-            result = _timed(jobs)
-        except Exception as exc:
-            result = exc
-        with os.fdopen(wfd, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _run_jobs(jobs) -> dict:
-    """_timed(jobs), with the _WORKER_JOBS jobs in one forked worker.
-
-    The worker is forked only when this process keeps some jobs and there is
-    a second CPU to run it on.  This process always runs its own jobs before
-    it waits, and it reaps the worker on every path.
-    """
-    forked = {}
-    if hasattr(os, "fork") and _cpus_available() > 1:
-        forked = {name: job for name, job in jobs.items() if name in _WORKER_JOBS}
-    if not forked or len(forked) == len(jobs):
-        return _timed(jobs)
-    flat_model()  # built once, before the fork, for both processes
-    pid, pipe = _fork_worker(forked)
-    with pipe:
-        try:
-            results = _timed({name: job for name, job in jobs.items() if name not in forked})
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    if status != 0 or not data:
-        raise RuntimeError(f"the worker running {' and '.join(forked)} ended without a "
-                           f"result (exit code {os.waitstatus_to_exitcode(status)})")
-    worker = pickle.loads(data)
-    if isinstance(worker, Exception):
-        raise worker
-    return {**results, **worker}
 
 
 def run_command(args) -> int:
@@ -251,15 +165,12 @@ def run_command(args) -> int:
 
     names = ("moser", "heisenberg", "conformal", "sphere") if args.suite == "all" else (args.suite,)
     setup_cpu = time.process_time()
-    suites = {name: _suite_jobs(name, args, golden=golden) for name in names}
-    results = _run_jobs({job: fn for jobs in suites.values() for job, fn in jobs.items()})
+    results = _timed({name: _suite_job(name, args, golden=golden) for name in names})
     if args.timings:
         print(f"setup: cpu {setup_cpu:.2f}s", file=sys.stderr)
-        for name, jobs in suites.items():
-            # a suite's times add up over its jobs, in whichever process each ran
-            wall, cpu = (sum(results[job][1][k] for job in jobs) for k in (0, 1))
+        for name, (_, (wall, cpu)) in results.items():
             print(f"{name}: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
-    reports = [r for jobs in suites.values() for job in jobs for r in results[job][0]]
+    reports = [r for suite_reports, _ in results.values() for r in suite_reports]
 
     meta = {"suite": args.suite, "seed": args.seed}
     if args.grid is not None:

@@ -210,21 +210,29 @@ class RatExpr(Field):
             self.na.conj(), self.nb.conj(), {f.conj(): e for f, e in self.den.items()}))
 
     def diff(self, var):
-        out = _reduce(self.na.diff(var), self.nb.diff(var), dict(self.den))
+        # one numerator over the common denominator, reduced once: each factor
+        # f with df != 0 gains a power, and so do zeta and zetab when nb != 0,
+        # since d s = _DS_NUM * s / Sigma and Sigma = zeta * zetab
+        dfs = {f: f.diff(var) for f in self.den}
+        raised = [f for f, df in dfs.items() if not df.is_zero()]
         if not self.nb.is_zero():
-            # d s = _DS_NUM * s / Sigma, and Sigma = zeta * zetab
-            den = dict(self.den)
-            for g in (ZETA, ZETAB):
-                den[g] = den.get(g, 0) + 1
-            out = out + _reduce(P_ZERO, self.nb * _DS_NUM[var], den)
+            raised += [g for g in (ZETA, ZETAB) if g not in raised]
+        den = dict(self.den)
+        for g in raised:
+            den[g] = den.get(g, 0) + 1
+
+        def cofactor(*skip):
+            return _product((g, 1) for g in raised if g not in skip)
+
+        whole = cofactor()
+        na, nb = self.na.diff(var) * whole, self.nb.diff(var) * whole
+        if not self.nb.is_zero():
+            nb = nb + self.nb * _DS_NUM[var] * cofactor(ZETA, ZETAB)
         for f, e in self.den.items():
-            df = f.diff(var)
-            if df.is_zero():
-                continue
-            den = dict(self.den)
-            den[f] = den[f] + 1
-            out = out - e * _reduce(self.na * df, self.nb * df, den)
-        return out
+            if not dfs[f].is_zero():
+                m = e * dfs[f] * cofactor(f)
+                na, nb = na - self.na * m, nb - self.nb * m
+        return _reduce(na, nb, den)
 
     def eval(self, point, s_val):
         num = self.na.eval(point) + self.nb.eval(point) * s_val

@@ -432,17 +432,14 @@ def dual_path(st, ups):
     return d_tor, d_q
 
 
-def conformal_battery(cases=BATTERY_CASES) -> list:
-    """Dual-path conformal checks on the flat model, in exact mode, for the named cases.
+def conformal_battery() -> list:
+    """Dual-path conformal checks on the flat model, in exact mode, for each battery case.
 
-    The cases are independent, so a caller may run them apart.  The
-    graded-mode counterpart is graded_conformal_check; the CLI runs both.
+    The graded-mode counterpart is graded_conformal_check; the CLI runs both.
     """
     st = flat_model().structure
     out = []
     for name, ups in _battery_cases():
-        if name not in cases:
-            continue
         d_tor, d_q = dual_path(st, ups)
         out.append(
             check_zero(

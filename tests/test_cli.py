@@ -101,29 +101,12 @@ def test_repeated_check_id_is_rejected():
             emit([rep, other, rep])
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """`run all` takes the forked path, however many CPUs the test machine has."""
-    monkeypatch.setattr(cli, "_cpus_available", lambda: 2)
-    yield
-    if hasattr(os, "fork"):
-        with pytest.raises(ChildProcessError):  # no worker is left behind
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(
-        capsys, monkeypatch, tmp_path, forked):
-    # a file, not a list, so that a build in the forked worker is seen too
-    built = tmp_path / "built"
-    built.write_text("")
+def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(capsys, monkeypatch):
+    built = []
 
     class CountingFlatModel(heisenberg.FlatModel):
         def __init__(self):
-            with built.open("a") as f:
-                f.write(f"{os.getpid()}\n")
+            built.append(os.getpid())
             super().__init__()
 
     monkeypatch.setattr(heisenberg, "FlatModel", CountingFlatModel)
@@ -132,7 +115,7 @@ def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(
                              "--grid", FAST_GRID, "--timings")
     heisenberg.flat_model.cache_clear()
     assert code == 0
-    assert built.read_text().splitlines() == [str(os.getpid())]
+    assert built == [os.getpid()]
     assert [line.split(":")[0] for line in err.splitlines()] == [
         "setup", "moser", "heisenberg", "conformal", "sphere"]
     ids = [c["check_id"] for c in json.loads(out)["checks"]]
@@ -140,103 +123,56 @@ def test_run_all_runs_each_suite_once_and_builds_the_flat_model_once(
     assert ids.count("conformal.graded_qprime") == 1
 
 
-def test_run_all_is_the_sorted_union_of_the_single_suite_runs(capsys, monkeypatch, forked):
-    code, forked_out, _ = run_cli(capsys, "run", "all", "--format", "json", "--grid", FAST_GRID)
+def test_run_all_is_the_sorted_union_of_the_single_suite_runs(capsys):
+    code, all_out, _ = run_cli(capsys, "run", "all", "--format", "json", "--grid", FAST_GRID)
     assert code == 0
     union = []
     for suite in ("moser", "heisenberg", "conformal", "sphere"):
         code, out, _ = run_cli(capsys, "run", suite, "--format", "json", "--grid", FAST_GRID)
         assert code == 0
         union += json.loads(out)["checks"]
-    assert json.loads(forked_out)["checks"] == sorted(union, key=lambda c: c["check_id"])
-
-    # one CPU: the same loop in this process, with the same bytes
-    monkeypatch.setattr(cli, "_cpus_available", lambda: 1)
-    monkeypatch.setattr(os, "fork", None, raising=False)
-    assert run_cli(capsys, "run", "all", "--format", "json", "--grid", FAST_GRID) == (
-        0, forked_out, "")
+    assert json.loads(all_out)["checks"] == sorted(union, key=lambda c: c["check_id"])
 
 
-@needs_fork
-def test_run_conformal_splits_its_dual_paths_with_the_worker(capsys, monkeypatch, tmp_path, forked):
-    # a file, not a list, so that the calls in the forked worker are seen too
-    ran = tmp_path / "ran"
-    ran.write_text("")
-    battery = cli.conformal_battery
-
-    def logged(cases):
-        with ran.open("a") as f:
-            f.write(f"{os.getpid()} {' '.join(cases)}\n")
-        return battery(cases)
-
-    monkeypatch.setattr(cli, "conformal_battery", logged)
-    code, forked_out, err = run_cli(capsys, "run", "conformal", "--format", "json", "--timings")
-    assert code == 0
-    assert [line.split(":")[0] for line in err.splitlines()] == ["setup", "conformal"]
-    by_pid = {}
-    for line in ran.read_text().splitlines():
-        pid, case = line.split(" ", 1)
-        by_pid.setdefault(pid, []).append(case)
-    assert by_pid.pop(str(os.getpid())) == ["1+zzb", "1+u^2", "2+z+zb", "(1+zzb)^2"]
-    assert list(by_pid.values()) == [["(1+zzb)(1+u^2)", "green^2"]]
-
-    # one CPU: every job in this process, with the same bytes
-    monkeypatch.setattr(cli, "_cpus_available", lambda: 1)
-    assert run_cli(capsys, "run", "conformal", "--format", "json") == (0, forked_out, "")
-
-
-def test_run_all_order_12_exits_2_with_the_conformal_message(capsys, forked):
+def test_run_all_order_12_exits_2_with_the_conformal_message(capsys):
     code, out, err = run_cli(capsys, "run", "all", "--order", "12")
     assert (code, out) == (2, "")
     assert err == f"error: conformal suite needs --order >= {heisenberg.GRADED_FLOOR}\n"
 
 
-def test_worker_errors_reach_the_parent(capsys, monkeypatch, forked):
+def test_suite_errors_reach_main(capsys, monkeypatch):
     def refuse():
-        raise UsageError("raised in the worker")
+        raise UsageError("raised in a suite")
 
     monkeypatch.setattr(cli, "conformal_battery", refuse)
-    assert run_cli(capsys, "run", "all") == (2, "", "error: raised in the worker\n")
+    assert run_cli(capsys, "run", "all") == (2, "", "error: raised in a suite\n")
 
     def fail():
-        raise ArithmeticError("worker arithmetic")
+        raise ArithmeticError("suite arithmetic")
 
     monkeypatch.setattr(cli, "conformal_battery", fail)
-    with pytest.raises(ArithmeticError, match="worker arithmetic"):
+    with pytest.raises(ArithmeticError, match="suite arithmetic"):
         main(["run", "all"])
 
 
-@needs_fork
-def test_run_all_fails_when_the_worker_dies_without_a_result(monkeypatch, forked):
-    monkeypatch.setattr(cli, "heisenberg_suite", lambda **_: os._exit(3))
-    with pytest.raises(RuntimeError, match=r"heisenberg and conformal .*exit code 3"):
-        main(["run", "all", "--grid", FAST_GRID])
-
-
-@needs_fork
-def test_the_import_heap_stays_frozen(capsys, forked):
+def test_the_import_heap_stays_frozen(capsys):
     # a heap thawed again is walked and freed at exit, which the OS does anyway
     gc.unfreeze()
     assert main(["run", "heisenberg", "--format", "json"]) == 0
     capsys.readouterr()
-    frozen = gc.get_freeze_count()
-    assert frozen > 0
-    results = cli._run_jobs({"moser": lambda: [], "heisenberg": lambda: []})
-    assert sorted(results) == ["heisenberg", "moser"]
-    assert gc.get_freeze_count() >= frozen
+    assert gc.get_freeze_count() > 0
 
 
-@needs_fork
-def test_run_all_kills_the_worker_when_its_own_suite_raises(monkeypatch, forked):
-    def boom(*args, **kwargs):
-        raise ArithmeticError("raised in the parent")
-
-    monkeypatch.setattr(cli, "heisenberg_suite", lambda **_: time.sleep(60))
-    monkeypatch.setattr(cli, "moser_suite", boom)
+def test_run_all_suite_wall_times_add_up_to_no_more_than_the_run(capsys):
+    # the suites run in turn in one process, so their wall times never overlap
     start = time.monotonic()
-    with pytest.raises(ArithmeticError, match="raised in the parent"):
-        main(["run", "all"])
-    assert time.monotonic() - start < 30
+    code = main(["run", "all", "--grid", FAST_GRID, "--timings"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    walls = re.findall(r"^\w+: wall (\d+\.\d\d)s", capsys.readouterr().err, re.M)
+    assert len(walls) == 4
+    # each time is printed rounded to 0.01 s, so it may read up to 0.005 s high
+    assert sum(float(w) - 0.005 for w in walls) <= elapsed
 
 
 def test_timings_go_to_stderr_as_setup_cpu_and_suite_wall_and_cpu(capsys):

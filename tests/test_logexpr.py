@@ -156,6 +156,39 @@ def test_constructor_checks_a_raw_denominator():
     assert list(RatExpr(Z, P_ZERO, {SIGMA: 1}).den.items()) == [(ZETAB, 1), (ZETA, 1)]
 
 
+def _diff_by_terms(x, var):
+    """d x / d var as a sum of separately built terms: the quotient rule on
+    each factor, and d s = (d Sigma / 2) s / Sigma."""
+    out = RatExpr(x.na.diff(var), x.nb.diff(var), x.den)
+    out += RatExpr(P_ZERO, x.nb * SIGMA.diff(var) * G("1/2"), {**x.den, SIGMA: 1})
+    for f, e in x.den.items():
+        out -= e * RatExpr(x.na * f.diff(var), x.nb * f.diff(var), {**x.den, f: x.den[f] + 1})
+    return out
+
+
+def test_diff_equals_the_sum_of_its_terms():
+    zeta, usq = RatExpr(ZETA), RatExpr(P_ONE + U * U)
+    values = [
+        RX_ONE / zeta, RX_S / zeta, (RX_ONE + RX_S) / (zeta * zeta * usq),
+        # zeta in den and nb != 0: zeta gains one power, not two
+        RX_S / (zeta * RatExpr(ZETAB)), RatExpr(Z, ZB, {ZETA: 2, P_ONE + Z * ZB: 1}),
+        # 1 + u^2 does not depend on z or zb, and divides the z-derivative of na
+        RatExpr((P_ONE + U * U) * Z * Z + 1, P_ZERO, {P_ONE + U * U: 1}),
+        heisenberg.flat_q2_terms()[1].as_rat(),
+    ]
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(10):
+            den = {g: rng.randint(1, 2) for g in rng.sample(_FACTORS, rng.randint(0, 3))}
+            nb = _small_poly(rng) if rng.random() < 0.6 else P_ZERO
+            values.append(RatExpr(_small_poly(rng), nb, den))
+    for x in values:
+        for var in ("z", "zb", "u"):
+            got = x.diff(var)
+            _assert_reduced(got)
+            assert got == _diff_by_terms(x, var), (x, var)
+
+
 def test_s_derivative():
     # d_z s = z zb^2 / s
     ds = RX_S.diff("z")
